@@ -117,7 +117,7 @@ def _transitive_closure(n: int, pairs) -> Relation:
                 succ[a] |= succ[k]
     for a in range(1, n + 1):
         if a in succ[a]:
-            b = min(v for v in succ[a] if a in succ[v])
+            b = min(v for v in succ[a] if v != a and a in succ[v])
             raise IntervalPosetError(
                 f"antisymmetry violated: cycle through {a} and {b}",
                 "antisymmetry", (a, b))

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .poly import Polynomial, X, Y, delta
+from .poly import (Polynomial, X, Y, _cauchy, _delta, _mul, _to_polynomial,
+                   delta)
 
 
 class BallotPath:
@@ -225,23 +226,53 @@ def multilinear_Bm(polys: list[Polynomial]) -> Polynomial:
 
 def phi_m_series(m: int, max_degree: int) -> Polynomial:
     """The m-Tamari interval series through y^max_degree, solving
-    Phi = x + B(Phi, ..., Phi) with m+1 arguments by fixed-point iteration."""
+    Phi = x + B(Phi, ..., Phi) with m+1 arguments degree by degree.
+
+    The chained form nests C_1 = Phi and C_(j+1) = Phi * delta(C_j), so
+    Phi = x + xy * Phi * delta(C_m).  The coefficient of y^0 is x, and that
+    of y^n is x * sum_k Phi_k * delta(C_m)_(n-1-k); each C_j at degree n
+    then follows from Phi up to degree n.
+    """
     if m < 1:
         raise ValueError("slope parameter m must be at least 1")
     if max_degree < 0:
         raise ValueError("series order must be non-negative")
-    phi = X
-    for _ in range(max_degree + 1):
-        phi = (X + multilinear_Bm([phi] * (m + 1))).truncate_y(max_degree)
-    return phi
+    layers: list[list[int]] = []
+    slopes: list[list[list[int]]] = [[] for _ in range(m)]  # delta(C_(j+1))
+    for n in range(max_degree + 1):
+        layer = ([0] + _cauchy(layers, slopes[-1], n - 1)) if n else [0, 1]
+        layers.append(layer)
+        chain = layer
+        for j in range(m):
+            if j:
+                chain = _cauchy(layers, slopes[j - 1], n)
+            slopes[j].append(_delta(chain))
+    return _to_polynomial(layers)
 
 
 def mary_tamari_poly(tree: MAryTree) -> Polynomial:
     """Counting polynomial of a prefix-read tree: x on leaves, the chained
     slope form on each node's children in left-to-right order."""
+    layer, nodes = _mary_layer(tree)
+    return _to_polynomial([[]] * nodes + [layer])
+
+
+def _mary_layer(tree: MAryTree) -> tuple[list[int], int]:
+    """The counting polynomial as a dense x-list, and its y-degree (the
+    number of nodes)."""
     if tree.is_leaf:
-        return X
-    return multilinear_Bm([mary_tamari_poly(c) for c in tree.children])
+        return [0, 1], 0
+    layers, nodes = [], 1
+    for child in tree.children:
+        layer, count = _mary_layer(child)
+        layers.append(layer)
+        nodes += count
+    chain = layers[-1]
+    for f in layers[-2:0:-1]:
+        chain = _mul(f, _delta(chain))
+    if len(layers) > 1:
+        chain = _mul(layers[0], _delta(chain))
+    return [0] + chain, nodes
 
 
 def fuss_catalan(m: int, n: int) -> int:

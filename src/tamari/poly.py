@@ -8,11 +8,18 @@ Coefficients are exact Python integers; zero coefficients are never stored.
 Rendering lists terms by ascending (y-degree, x-degree, b-degree); each term
 prints as ``c*x^a*y^b*b^c`` with unit coefficients and exponents elided, and
 the output parses back with :func:`parse_polynomial`.
+
+The tree polynomials and the series work on dense coefficient lists and
+convert to :class:`Polynomial` only on return.
 """
 
 from __future__ import annotations
 
+import re
+from functools import reduce
+from itertools import accumulate
 from math import factorial
+from operator import add
 
 from .trees import BinaryTree
 
@@ -46,9 +53,6 @@ class Polynomial:
 
     def coefficient(self, ex: int = 0, ey: int = 0, eb: int = 0) -> int:
         return self._terms.get((ex, ey, eb), 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -174,35 +178,51 @@ Y = Polynomial.monomial(1, ey=1)
 B = Polynomial.monomial(1, eb=1)
 
 
+_VARIABLES = ("x", "y", "b")
+
+
 def parse_polynomial(text: str) -> Polynomial:
-    """Inverse of ``str(polynomial)``; accepts any +/- separated term list."""
-    s = text.replace("-", "+-").replace(" ", "")
+    """Inverse of ``str(polynomial)``.
+
+    Accepts terms separated by ``+`` or ``-``, the first one optionally
+    negated; a term is ``*``-separated factors, each an integer or one of
+    x, y, b with an optional ``^<integer>``.  Whitespace between tokens is
+    ignored.  Anything else raises ValueError.
+    """
+    tokens = re.findall(r"[0-9]+|\S", text) + [""]  # "" ends the text
     terms: dict[Key, int] = {}
-    for chunk in s.split("+"):
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:]
-        coeff, ex, ey, eb = 1, 0, 0, 0
-        for factor in chunk.split("*"):
-            if factor.isdigit():
-                coeff *= int(factor)
-                continue
-            name, _, exp = factor.partition("^")
-            if name not in ("x", "y", "b") or (exp and not exp.isdigit()):
-                raise ValueError(f"cannot parse polynomial factor {factor!r}")
-            power = int(exp) if exp else 1
-            if name == "x":
-                ex += power
-            elif name == "y":
-                ey += power
+    pos, sign = (1, -1) if tokens[0] == "-" else (0, 1)
+    while True:
+        coeff, exps = sign, [0, 0, 0]
+        while True:
+            token = tokens[pos]
+            pos += 1
+            if token.isdecimal():
+                coeff *= int(token)
+            elif token in _VARIABLES:
+                power = 1
+                if tokens[pos] == "^":
+                    if not tokens[pos + 1].isdecimal():
+                        raise ValueError(f"expected an exponent after '^' in "
+                                         f"{text!r}")
+                    power, pos = int(tokens[pos + 1]), pos + 2
+                exps[_VARIABLES.index(token)] += power
             else:
-                eb += power
-        key = (ex, ey, eb)
-        terms[key] = terms.get(key, 0) + sign * coeff
-    return Polynomial(terms)
+                raise ValueError(f"expected a number or one of x, y, b at "
+                                 f"token {token!r} of {text!r}")
+            if tokens[pos] != "*":
+                break
+            pos += 1
+        key = (exps[0], exps[1], exps[2])
+        terms[key] = terms.get(key, 0) + coeff
+        separator = tokens[pos]
+        pos += 1
+        if not separator:
+            return Polynomial(terms)
+        if separator not in ("+", "-"):
+            raise ValueError(f"expected '+' or '-' at token {separator!r} "
+                             f"of {text!r}")
+        sign = 1 if separator == "+" else -1
 
 
 def delta(g: Polynomial) -> Polynomial:
@@ -233,50 +253,108 @@ def bilinear_B_bivar(f: Polynomial, g: Polynomial) -> Polynomial:
     return Y * X * f * (g + B * delta(g))
 
 
+# Dense kernels.  A polynomial in x is a list of its coefficients by
+# ascending degree, and a polynomial in x and one more variable is a list of
+# such lists, one per degree of that variable.  Lists carry no trailing
+# zeros when their inputs carry none.
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    return [*map(add, a, b), *a[len(b):]]
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    width = len(a)
+    for i, c in enumerate(b):
+        if c:
+            out[i:i + width] = map(add, out[i:i + width], map(c.__mul__, a))
+    return out
+
+
+def _delta(a: list[int]) -> list[int]:
+    """The slope operator: coefficient i is the sum of those above i."""
+    return list(accumulate(reversed(a[1:])))[::-1]
+
+
+def _cauchy(a: list[list[int]], b: list[list[int]], n: int) -> list[int]:
+    """Degree-n layer of the product of two layered polynomials; both must
+    have a layer that contributes to it."""
+    ks = range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1)
+    return reduce(_add, (_mul(a[k], b[n - k]) for k in ks))
+
+
+def _to_polynomial(layers: list[list[int]], by_b: bool = False) -> Polynomial:
+    """The polynomial with coefficient layers[d][i] on x^i * y^d, or on
+    x^i * b^d when ``by_b``."""
+    terms = {}
+    for d, layer in enumerate(layers):
+        for i, coeff in enumerate(layer):
+            if coeff:
+                terms[(i, 0, d) if by_b else (i, d, 0)] = coeff
+    return Polynomial(terms)
+
+
 def tamari_poly(tree: BinaryTree) -> Polynomial:
     """Polynomial in x counting the trees below ``tree`` by left border.
 
     Recursion: the empty tree gives 1, and a node with subtree polynomials
     L and R gives x * L * (x*R - R(1)) / (x - 1).
     """
-    if not tree:
-        return ONE
-    left = tamari_poly(tree.left)
-    right = tamari_poly(tree.right)
-    return X * left * (right + delta(right))
+    return _to_polynomial(_tree_layers(tree, mirror=False, bivar=False), by_b=True)
 
 
 def tamari_poly_mirror(tree: BinaryTree) -> Polynomial:
     """Left/right-swapped recursion: counts trees above by right border."""
-    if not tree:
-        return ONE
-    left = tamari_poly_mirror(tree.left)
-    right = tamari_poly_mirror(tree.right)
-    return X * right * (left + delta(left))
+    return _to_polynomial(_tree_layers(tree, mirror=True, bivar=False), by_b=True)
 
 
 def tamari_poly_bivar(tree: BinaryTree) -> Polynomial:
     """Two-variable refinement in x and b; b marks lower-tree nodes that
     carry a right subtree.  Setting b=1 recovers :func:`tamari_poly`."""
+    return _to_polynomial(_tree_layers(tree, mirror=False, bivar=True), by_b=True)
+
+
+def _tree_layers(tree: BinaryTree, mirror: bool, bivar: bool) -> list[list[int]]:
+    """The tree polynomial as dense x-lists, one per b-degree: a node with
+    left value f and right value g gives x * f * (g + b*delta(g)), b being 1
+    unless ``bivar``; ``mirror`` swaps the children first."""
     if not tree:
-        return ONE
-    left = tamari_poly_bivar(tree.left)
-    right = tamari_poly_bivar(tree.right)
-    return X * left * (right + B * delta(right))
+        return [[1]]
+    left, right = (tree.right, tree.left) if mirror else (tree.left, tree.right)
+    g = _tree_layers(right, mirror, bivar)
+    shift = 1 if bivar else 0
+    factor = g + [[]] * shift
+    for d, layer in enumerate(g):
+        factor[d + shift] = _add(factor[d + shift], _delta(layer))
+    if not factor[-1]:  # delta(1) = 0 leaves the top b-degree empty
+        factor.pop()
+    f = _tree_layers(left, mirror, bivar)
+    return [[0] + _cauchy(f, factor, d)
+            for d in range(len(f) + len(factor) - 1)]
 
 
 def phi_series(max_degree: int) -> Polynomial:
     """The interval generating function Phi(x, y) through y^max_degree.
 
-    Solves Phi = B(Phi, Phi) + 1 by fixed-point iteration; each application
-    of B raises the y-degree, so max_degree + 1 rounds suffice.
+    Solves Phi = B(Phi, Phi) + 1 degree by degree: the coefficient of y^0 is
+    1, and that of y^n is x * sum_k P_k * (P_(n-1-k) + delta(P_(n-1-k))),
+    which only involves lower degrees.
     """
     if max_degree < 0:
         raise ValueError("series order must be non-negative")
-    phi = ONE
-    for _ in range(max_degree + 1):
-        phi = (bilinear_B(phi, phi) + ONE).truncate_y(max_degree)
-    return phi
+    layers = [[1]]
+    factors = [[1]]  # P_j + delta(P_j)
+    for n in range(1, max_degree + 1):
+        layer = [0] + _cauchy(layers, factors, n - 1)
+        layers.append(layer)
+        factors.append(_add(layer, _delta(layer)))
+    return _to_polynomial(layers)
 
 
 def chapoton_count(n: int) -> int:

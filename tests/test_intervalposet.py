@@ -42,6 +42,11 @@ def test_validate_rejects_violations():
     with pytest.raises(IntervalPosetError) as err:
         validate(2, [(1, 2), (2, 1)])
     assert err.value.axiom == "antisymmetry"
+    assert err.value.witness == (1, 2)
+    with pytest.raises(IntervalPosetError) as err:
+        IntervalPoset.from_text("n=3\n1<2,2<1")
+    assert err.value.witness == (1, 2)
+    assert "cycle through 1 and 2" in str(err.value)
     with pytest.raises(ValueError):
         validate(2, [(1, 3)])
 

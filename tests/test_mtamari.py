@@ -1,12 +1,13 @@
 import pytest
 
-from helpers import path_downset_sizes, path_upsets, tree_leq_pairs
+from helpers import (mtamari_interval_count, path_downset_sizes, path_upsets,
+                     phi_m_series_fixed_point, tree_leq_pairs)
 from tamari.mtamari import (LEAF, BallotPath, MAryTree, enumerate_ballot_paths,
                             fuss_catalan, mary_tamari_poly,
                             mary_to_path_prefix, multilinear_Bm,
                             parse_ballot_path, path_leq, path_rotation_covers,
                             path_to_mary_prefix, phi_m_series)
-from tamari.poly import X, parse_polynomial, phi_series
+from tamari.poly import X, chapoton_count, parse_polynomial, phi_series
 from tamari.trees import from_dyck, to_dyck
 
 
@@ -151,6 +152,23 @@ def test_phi_m_series_matches_brute_force_interval_counts():
         for n in range(4):
             brute = sum(path_downset_sizes(m, n).values())
             assert phi.y_coefficient(n).subs(x=1).constant() == brute
+
+
+def test_phi_m_series_matches_fixed_point():
+    for m in (1, 2, 3):
+        reference = phi_m_series_fixed_point(m, 6)
+        for n in range(7):
+            assert phi_m_series(m, n) == reference.truncate_y(n)
+
+
+def test_phi_m_series_matches_closed_form():
+    assert [mtamari_interval_count(1, n) for n in range(11)] == \
+        [chapoton_count(n) for n in range(11)]
+    for m in (1, 2, 3):
+        phi = phi_m_series(m, 10)
+        for n in range(11):
+            assert phi.y_coefficient(n).subs(x=1).constant() == \
+                mtamari_interval_count(m, n)
 
 
 def test_mary_tamari_poly_leaf():

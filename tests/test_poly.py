@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import tree_downsets, tree_upsets
+from helpers import phi_series_fixed_point, tree_downsets, tree_upsets
 from tamari.poly import (ONE, X, Polynomial, bilinear_B, bilinear_B_bivar,
                          chapoton_count, delta, parse_polynomial, phi_series,
                          tamari_poly, tamari_poly_bivar, tamari_poly_mirror)
@@ -27,6 +27,30 @@ def test_polynomial_arithmetic_and_rendering():
         Polynomial({(3, 0, 0): 1, (4, 0, 0): 2, (5, 0, 0): 2, (6, 0, 0): 1})
     with pytest.raises(ValueError):
         parse_polynomial("x + z")
+    negative = -3 * X * X + 2 * Polynomial.monomial(1, ey=1, eb=2) - ONE
+    assert str(negative) == "-1 - 3*x^2 + 2*y*b^2"
+    assert parse_polynomial(str(negative)) == negative
+
+
+@pytest.mark.parametrize("text", [
+    "x^-1",     # once read as -1 + x
+    "1+",       # once accepted as 1
+    "",
+    "+x",
+    "x + + y",
+    "x - ",
+    "x^",
+    "x*",
+    "*x",
+    "2**x",
+    "x y",
+    "1 2",
+    "x^2^3",
+    "xy",
+])
+def test_parse_polynomial_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_polynomial(text)
 
 
 def test_subs_and_constant():
@@ -142,6 +166,12 @@ def test_phi_series():
     phi = phi_series(4)
     assert [phi.y_coefficient(k).subs(x=1).constant() for k in range(5)] == \
         [1, 1, 3, 13, 68]
+
+
+def test_phi_series_matches_fixed_point():
+    reference = phi_series_fixed_point(12)
+    for n in range(13):
+        assert phi_series(n) == reference.truncate_y(n)
 
 
 def test_phi_series_matches_tree_sums():

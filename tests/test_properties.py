@@ -6,8 +6,11 @@ from collections import defaultdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import mary_poly_sparse, mirror, tree_poly_sparse
 from tamari.intervalposet import IntervalPosetError, validate
-from tamari.poly import ONE, Polynomial, X, delta
+from tamari.mtamari import LEAF, MAryTree, mary_tamari_poly
+from tamari.poly import (B, ONE, Polynomial, X, delta, tamari_poly,
+                         tamari_poly_bivar, tamari_poly_mirror)
 from tamari.trees import EMPTY, BinaryTree, rotate_right_at
 
 
@@ -181,3 +184,34 @@ def test_rotation_preserves_size_and_is_invertible(tree, data):
     # some left rotation undoes it, so the rewrite was local and lossless
     assert any(rotate_left_at(rotated, k) == tree
                for k in range(1, tree.size + 1))
+
+
+# --- dense tree polynomials against the sparse fold -----------------------
+
+@settings(max_examples=100)
+@given(random_trees(max_size=40))
+def test_tree_polynomials_match_sparse_fold(tree):
+    assert tamari_poly(tree) == tree_poly_sparse(tree)
+    assert tamari_poly_mirror(tree) == tree_poly_sparse(mirror(tree))
+    assert tamari_poly_mirror(tree) == tamari_poly(mirror(tree))
+    assert tamari_poly_bivar(tree) == tree_poly_sparse(tree, weight=B)
+
+
+@st.composite
+def random_mary_trees(draw, max_size=40):
+    arity = draw(st.integers(2, 4))
+
+    def build(k):
+        if k == 0:
+            return LEAF
+        cuts = sorted(draw(st.integers(0, k - 1)) for _ in range(arity - 1))
+        sizes = [hi - lo for lo, hi in zip([0] + cuts, cuts + [k - 1])]
+        return MAryTree(tuple(build(s) for s in sizes))
+
+    return build(draw(st.integers(0, max_size)))
+
+
+@settings(max_examples=100)
+@given(random_mary_trees())
+def test_mary_tamari_poly_matches_sparse_fold(tree):
+    assert mary_tamari_poly(tree) == mary_poly_sparse(tree)
