@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import intervalposet, mtamari, order, poly, trees
 from .compose import enumerate_interval_posets
@@ -44,26 +45,26 @@ def _effective_cap(args, default: int) -> int:
     return default
 
 
+def _gate(args, n: int, default: int, what: str) -> int:
+    """The cap in force for ``what``; raises when n exceeds it."""
+    cap = _effective_cap(args, default)
+    if n > cap:
+        raise CommandError(f"{what} capped at n={default} "
+                           "(override with --max-n)")
+    return cap
+
+
 def _count_one(method: str, n: int, args) -> int:
     if method == "formula":
         return poly.chapoton_count(n)
     if method == "enumerate":
-        if n > _effective_cap(args, ENUMERATION_CAP):
-            raise CommandError(f"enumerate is capped at n={ENUMERATION_CAP} "
-                               "(override with --max-n)")
+        _gate(args, n, ENUMERATION_CAP, "enumerate is")
         return len(enumerate_interval_posets(n))
     if method == "bruteforce":
-        cap = _effective_cap(args, order.TREE_ORACLE_CAP)
-        if n > cap:
-            raise CommandError(f"bruteforce is capped at n={order.TREE_ORACLE_CAP} "
-                               "(override with --max-n)")
+        cap = _gate(args, n, order.TREE_ORACLE_CAP, "bruteforce is")
         return order.count_intervals_bruteforce(n, max_n=cap)
-    if method == "series":
-        if n > _effective_cap(args, SERIES_CAP):
-            raise CommandError(f"series is capped at n={SERIES_CAP} "
-                               "(override with --max-n)")
-        return poly.phi_series(n).y_coefficient(n).subs(x=1).constant()
-    raise CommandError(f"unknown method {method}")
+    _gate(args, n, SERIES_CAP, "series is")
+    return poly.phi_series(n).y_coefficient(n).subs(x=1).constant()
 
 
 def cmd_count(args) -> int:
@@ -125,10 +126,7 @@ def cmd_interval(args) -> int:
         lines.extend(literals)
         payload["trees"] = literals
     if show_extensions:
-        cap = _effective_cap(args, order.PERM_CAP)
-        if poset.n > cap:
-            raise CommandError(f"extensions are capped at n={order.PERM_CAP} "
-                               "(override with --max-n)")
+        cap = _gate(args, poset.n, order.PERM_CAP, "extensions are")
         extensions = sorted(intervalposet.linear_extensions(poset, max_n=cap))
         low = min(extensions, key=lambda p: (len(order.coinv(p)), p))
         high = max(extensions, key=lambda p: (len(order.coinv(p)), p))
@@ -156,9 +154,7 @@ def cmd_lattice(args) -> int:
     n = args.n
     if args.mtamari is not None:
         m = args.mtamari
-        if n > _effective_cap(args, PATH_LATTICE_CAP):
-            raise CommandError(f"ballot path lattices are capped at n={PATH_LATTICE_CAP} "
-                               "(override with --max-n)")
+        _gate(args, n, PATH_LATTICE_CAP, "ballot path lattices are")
         paths = mtamari.enumerate_ballot_paths(m, n)
         index = {p: i for i, p in enumerate(paths)}
         labels = [p.steps for p in paths]
@@ -167,9 +163,7 @@ def cmd_lattice(args) -> int:
         name = f"mtamari_{m}_{n}"
         payload = {"kind": "ballot", "m": m, "n": n}
     else:
-        if n > _effective_cap(args, TREE_LATTICE_CAP):
-            raise CommandError(f"tree lattices are capped at n={TREE_LATTICE_CAP} "
-                               "(override with --max-n)")
+        _gate(args, n, TREE_LATTICE_CAP, "tree lattices are")
         all_trees = trees.enumerate_trees(n)
         index = {t: i for i, t in enumerate(all_trees)}
         labels = [trees.format_tree(t) for t in all_trees]
@@ -183,9 +177,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    if args.n > _effective_cap(args, SERIES_CAP):
-        raise CommandError(f"series is capped at n={SERIES_CAP} "
-                           "(override with --max-n)")
+    _gate(args, args.n, SERIES_CAP, "series is")
     if args.m is None:
         series = poly.phi_series(args.n)
     else:
@@ -197,29 +189,16 @@ def cmd_phi(args) -> int:
 
 def cmd_mtamari_verify(args) -> int:
     m, n = args.m, args.n
-    if n > _effective_cap(args, PATH_LATTICE_CAP):
-        raise CommandError(f"verification is capped at n={PATH_LATTICE_CAP} "
-                           "(override with --max-n)")
+    _gate(args, n, PATH_LATTICE_CAP, "verification is")
     paths = mtamari.enumerate_ballot_paths(m, n)
-    below: dict[mtamari.BallotPath, set] = {}
-
-    def reach(p):
-        if p not in below:
-            closure = {p}
-            for q in mtamari.path_rotation_covers(p):
-                closure |= reach(q)
-            below[p] = closure
-        return below[p]
-
-    for p in paths:
-        reach(p)
+    below = Counter(q for p in paths for q in mtamari.path_upset(p))
     lines = []
     results = []
     all_ok = True
     for p in paths:
         tree = mtamari.path_to_mary_prefix(p)
         counted = mtamari.mary_tamari_poly(tree).subs(x=1, y=1).constant()
-        expected = sum(1 for q in paths if p in below[q])
+        expected = below[p]
         ok = counted == expected
         all_ok &= ok
         verdict = "PASS" if ok else "FAIL"
@@ -278,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="cover graph in DOT format")
     p.add_argument("n", type=int)
-    p.add_argument("--dot", action="store_true",
-                   help="DOT output (the default; kept for explicitness)")
     p.add_argument("--mtamari", type=int, metavar="M", default=None,
                    help="use the m-Tamari lattice on ballot paths")
     common(p)

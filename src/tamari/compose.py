@@ -13,30 +13,8 @@ from __future__ import annotations
 
 from functools import cache
 
-from .intervalposet import IntervalPoset
+from .intervalposet import IntervalPoset, _decreasing_roots
 from .trees import BinaryTree
-
-
-def _decreasing_roots(poset: IntervalPoset) -> list[int]:
-    """Minimal labels of the decreasing-forest components, ascending."""
-    parent = list(range(poset.n + 1))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in poset.relations:
-        if a > b:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, int] = {}
-    for v in range(1, poset.n + 1):
-        root = find(v)
-        groups[root] = min(groups.get(root, v), v)
-    return sorted(groups.values())
 
 
 def compose(i1: IntervalPoset, i2: IntervalPoset) -> list[IntervalPoset]:

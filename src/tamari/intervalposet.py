@@ -78,6 +78,9 @@ class IntervalPoset:
         lines = text.strip().splitlines()
         if not lines or not lines[0].startswith("n="):
             raise ValueError("poset text must start with an 'n=<int>' line")
+        if len(lines) > 2:
+            raise ValueError("poset text takes one line of relations, "
+                             f"got {len(lines) - 1}")
         n = int(lines[0][2:])
         pairs = []
         body = lines[1].strip() if len(lines) > 1 else ""
@@ -290,25 +293,22 @@ def trees_in_interval(poset: IntervalPoset,
             if tamari_leq_oracle(lo, t) and tamari_leq_oracle(t, hi)]
 
 
+def _decreasing_roots(poset: IntervalPoset) -> list[int]:
+    """Roots of the decreasing forest, ascending.
+
+    Decreasing closure makes the smaller labels that a vertex precedes a
+    chain, so the decreasing relations form a forest poset.  In each
+    component the root is the only vertex that precedes no smaller label,
+    and it is also the component's minimal label.
+    """
+    inner = {a for a, b in poset.relations if a > b}
+    return [v for v in range(1, poset.n + 1) if v not in inner]
+
+
 def decreasing_components(poset: IntervalPoset) -> int:
     """Number of connected components of the decreasing forest, counting
     isolated vertices; equals the lower tree's left border count."""
-    parent = list(range(poset.n + 1))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    count = poset.n
-    for a, b in poset.relations:
-        if a > b:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                count -= 1
-    return count
+    return len(_decreasing_roots(poset))
 
 
 def stat_monomial(poset: IntervalPoset) -> Polynomial:

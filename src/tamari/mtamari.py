@@ -15,7 +15,7 @@ yields a counting polynomial for the path's lower set, checked here at x=1.
 
 from __future__ import annotations
 
-from collections import deque
+from functools import cache
 
 from .poly import (Polynomial, X, Y, _cauchy, _delta, _mul, _to_polynomial,
                    delta)
@@ -114,22 +114,17 @@ def path_rotation_covers(path: BallotPath) -> set[BallotPath]:
     return covers
 
 
+@cache
+def path_upset(path: BallotPath) -> frozenset[BallotPath]:
+    """All paths reachable from ``path`` by rotations, itself included."""
+    return frozenset({path}.union(*map(path_upset, path_rotation_covers(path))))
+
+
 def path_leq(lower: BallotPath, upper: BallotPath) -> bool:
     """Reachability of ``upper`` from ``lower`` by rotations."""
     if lower.m != upper.m or lower.n != upper.n:
         raise ValueError("paths must share m and size")
-    if lower == upper:
-        return True
-    seen = {lower}
-    queue = deque([lower])
-    while queue:
-        for cover in path_rotation_covers(queue.popleft()):
-            if cover == upper:
-                return True
-            if cover not in seen:
-                seen.add(cover)
-                queue.append(cover)
-    return False
+    return upper in path_upset(lower)
 
 
 class MAryTree:

@@ -66,11 +66,6 @@ def node(left: BinaryTree, right: BinaryTree) -> BinaryTree:
     return BinaryTree(left, right)
 
 
-def size(tree: BinaryTree) -> int:
-    """Number of internal nodes."""
-    return tree.size
-
-
 def left_border_count(tree: BinaryTree) -> int:
     """Number of nodes on the leftmost spine (root, root.left, ...)."""
     count = 0

@@ -1,17 +1,17 @@
 """Shared brute-force oracles and reference routes for the test suite.
 
-The order oracles recompute data from the covering relation by
-breadth-first closure, independently of the structured algorithms under
-test, and cache per size so exhaustive suites stay fast.  The series and
-tree-polynomial references redo on sparse polynomials what the package
-does on dense coefficient lists.
+The order oracles recompute data from the covering relation by closure,
+independently of the structured algorithms under test, and cache per size
+so exhaustive suites stay fast.  The series and tree-polynomial references
+redo on sparse polynomials what the package does on dense coefficient
+lists.
 """
 
 from functools import cache
 from math import comb
 
 from tamari.mtamari import (BallotPath, MAryTree, enumerate_ballot_paths,
-                            multilinear_Bm, path_rotation_covers)
+                            multilinear_Bm, path_upset)
 from tamari.order import sylvester_class, tamari_upset
 from tamari.poly import ONE, X, Polynomial, bilinear_B, delta
 from tamari.trees import EMPTY, BinaryTree, enumerate_trees
@@ -41,20 +41,7 @@ def sylvester_classes(n: int) -> dict[BinaryTree, frozenset]:
 
 @cache
 def path_upsets(m: int, n: int) -> dict[BallotPath, frozenset[BallotPath]]:
-    memo: dict[BallotPath, frozenset[BallotPath]] = {}
-
-    def reach(p: BallotPath) -> frozenset[BallotPath]:
-        got = memo.get(p)
-        if got is None:
-            closure = {p}
-            for q in path_rotation_covers(p):
-                closure |= reach(q)
-            got = memo[p] = frozenset(closure)
-        return got
-
-    for p in enumerate_ballot_paths(m, n):
-        reach(p)
-    return memo
+    return {p: path_upset(p) for p in enumerate_ballot_paths(m, n)}
 
 
 @cache

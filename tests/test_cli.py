@@ -127,19 +127,19 @@ def test_interval_size_mismatch(capsys):
 
 
 def test_lattice_sizes(capsys):
-    code, out, _ = run(capsys, "lattice", "3", "--dot")
+    code, out, _ = run(capsys, "lattice", "3")
     assert code == 0
     assert out.count("[label=") == 5
     assert out.count("->") == 5
-    code, out, _ = run(capsys, "lattice", "1", "--dot")
+    code, out, _ = run(capsys, "lattice", "1")
     assert out.count("[label=") == 1 and out.count("->") == 0
-    code, out, _ = run(capsys, "lattice", "4", "--dot")
+    code, out, _ = run(capsys, "lattice", "4")
     assert out.count("[label=") == 14 and out.count("->") == 21
 
 
 def test_lattice_deterministic(capsys):
-    first = run(capsys, "lattice", "4", "--dot")
-    second = run(capsys, "lattice", "4", "--dot")
+    first = run(capsys, "lattice", "4")
+    second = run(capsys, "lattice", "4")
     assert first == second
 
 

@@ -64,6 +64,8 @@ def test_text_format_roundtrip():
         IntervalPoset.from_text("2<1")
     with pytest.raises(ValueError):
         IntervalPoset.from_text("n=3\n2-1")
+    with pytest.raises(ValueError, match="one line of relations, got 2"):
+        IntervalPoset.from_text("n=3\n1<2\n2<3")
 
 
 def test_inc_forest_ten_node_tree():

@@ -1,7 +1,8 @@
 import pytest
 
 from helpers import tree_leq_pairs
-from tamari.intervalposet import dec_forest, decreasing_components
+from tamari.compose import enumerate_interval_posets
+from tamari.intervalposet import dec_forest, decreasing_components, lower_tree
 from tamari.trees import (EMPTY, BinaryTree, canonical_key, enumerate_trees,
                           format_tree, from_dyck, left_border_count,
                           parse_tree, right_border_count, rotate_right_at,
@@ -138,3 +139,5 @@ def test_left_border_equals_decreasing_components():
     for n in range(7):
         for t in enumerate_trees(n):
             assert left_border_count(t) == decreasing_components(dec_forest(t))
+        for p in enumerate_interval_posets(n):
+            assert decreasing_components(p) == left_border_count(lower_tree(p))
