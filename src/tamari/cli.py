@@ -45,9 +45,11 @@ def _effective_cap(args, default: int) -> int:
     return default
 
 
-def _gate(args, n: int, default: int, what: str) -> int:
-    """The cap in force for ``what``; raises when n exceeds it."""
-    cap = _effective_cap(args, default)
+def _gate(args, n: int, default: int, what: str, cap: int | None = None) -> int:
+    """The cap in force for ``what``; raises when n exceeds it.  A caller
+    that resolved --max-n already passes the result as ``cap``."""
+    if cap is None:
+        cap = _effective_cap(args, default)
     if n > cap:
         raise CommandError(f"{what} capped at n={default} "
                            "(override with --max-n)")
@@ -112,6 +114,12 @@ def cmd_interval(args) -> int:
     show_trees = args.trees
     show_extensions = args.extensions
     show_poset = args.poset or not (show_trees or show_extensions)
+    # --max-n is resolved once for all the capped sections shown, so the
+    # command warns at most once
+    defaults = [default for default, shown in
+                ((order.TREE_ORACLE_CAP, show_trees),
+                 (order.PERM_CAP, show_extensions)) if shown]
+    raised = _effective_cap(args, min(defaults)) if defaults else 0
 
     lines: list[str] = []
     payload: dict = {"lower": trees.format_tree(lower),
@@ -121,12 +129,13 @@ def cmd_interval(args) -> int:
         payload["poset"] = poset.to_text()
     if show_trees:
         inside = intervalposet.trees_in_interval(
-            poset, max_n=_effective_cap(args, order.TREE_ORACLE_CAP))
+            poset, max_n=max(order.TREE_ORACLE_CAP, raised))
         literals = [trees.format_tree(t) for t in inside]
         lines.extend(literals)
         payload["trees"] = literals
     if show_extensions:
-        cap = _gate(args, poset.n, order.PERM_CAP, "extensions are")
+        cap = _gate(args, poset.n, order.PERM_CAP, "extensions are",
+                    cap=max(order.PERM_CAP, raised))
         extensions = sorted(intervalposet.linear_extensions(poset, max_n=cap))
         low = min(extensions, key=lambda p: (len(order.coinv(p)), p))
         high = max(extensions, key=lambda p: (len(order.coinv(p)), p))

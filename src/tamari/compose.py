@@ -21,16 +21,17 @@ def compose(i1: IntervalPoset, i2: IntervalPoset) -> list[IntervalPoset]:
     """All terms of the composition, ordered by absorbed-root count."""
     k1 = i1.n
     n = k1 + i2.n + 1
-    new = k1 + 1
-    shifted = {(a + new, b + new) for a, b in i2.relations}
-    base = set(i1.relations) | shifted | {(i, new) for i in range(1, new)}
-    out = [IntervalPoset._trusted(n, frozenset(base))]
+    new = 1 << k1  # the new vertex k1 + 1
+    left = tuple(row | new for row in i1.succ) + (0,)
+    right = [row << (k1 + 1) for row in i2.succ]
+    out = [IntervalPoset._trusted(n, left + tuple(right))]
     for root in _decreasing_roots(i2):
-        v = root + new
-        # hanging v below the new vertex drags v's whole lower set with it
-        base.add((v, new))
-        base.update((w, new) for w, u in shifted if u == v)
-        out.append(IntervalPoset._trusted(n, frozenset(base)))
+        # hanging root below the new vertex drags its whole lower set with it
+        bit = 1 << (root - 1)
+        for w, row in enumerate(i2.succ):
+            if row & bit or w == root - 1:
+                right[w] |= new
+        out.append(IntervalPoset._trusted(n, left + tuple(right)))
     return out
 
 
@@ -43,11 +44,15 @@ def decompose(poset: IntervalPoset) -> tuple[IntervalPoset, IntervalPoset]:
     """
     if poset.n == 0:
         raise ValueError("cannot decompose the empty poset")
-    rels = poset.relations
-    k = max(k for k in range(1, poset.n + 1)
-            if all((i, k) in rels for i in range(1, k)))
-    left = frozenset((a, b) for a, b in rels if a < k and b < k)
-    right = frozenset((a - k, b - k) for a, b in rels if a > k and b > k)
+    succ = poset.succ
+    common = -1  # the successors shared by every vertex seen so far
+    for v, row in enumerate(succ, 1):
+        if common >> (v - 1) & 1:
+            k = v
+        common &= row
+    low = (1 << (k - 1)) - 1
+    left = tuple(row & low for row in succ[:k - 1])
+    right = tuple(row >> k for row in succ[k:])
     return (IntervalPoset._trusted(k - 1, left),
             IntervalPoset._trusted(poset.n - k, right))
 
@@ -55,14 +60,36 @@ def decompose(poset: IntervalPoset) -> tuple[IntervalPoset, IntervalPoset]:
 @cache
 def _posets_of_size(n: int) -> tuple[IntervalPoset, ...]:
     if n == 0:
-        return (IntervalPoset._trusted(0, frozenset()),)
+        return (IntervalPoset._trusted(0, ()),)
     out: list[IntervalPoset] = []
     for k1 in range(n):
         for i1 in _posets_of_size(k1):
             for i2 in _posets_of_size(n - 1 - k1):
                 out.extend(compose(i1, i2))
-    out.sort(key=lambda p: sorted(p.relations))
+    out.sort(key=_canonical_key(n))
     return tuple(out)
+
+
+def _canonical_key(n: int):
+    """A sort key on posets of size n that orders like sorted(p.relations).
+
+    Row a-1 of the masks sits at bits (a-1)*n.., so reading the packed bits
+    upward lists the pairs (a, b) in sorted order.  The key is that bit
+    string complemented ('0' marks a present pair) with its trailing '1's
+    stripped: at the first pair where two sorted lists differ, the list
+    holding it has '0' where the other has '1', and a list that ends first
+    gives a proper prefix of the other's string.
+    """
+    full = (1 << n * n) - 1
+    width = f"0{n * n}b"
+
+    def key(poset: IntervalPoset) -> str:
+        packed = 0
+        for row in reversed(poset.succ):
+            packed = packed << n | row
+        return format(packed ^ full, width)[::-1].rstrip("1")
+
+    return key
 
 
 def enumerate_interval_posets(n: int) -> list[IntervalPoset]:
@@ -77,7 +104,7 @@ def initial_interval_sum(tree: BinaryTree) -> list[IntervalPoset]:
     """All interval-posets whose increasing part is the increasing forest
     of ``tree``: one poset per tree below it in the Tamari order."""
     if not tree:
-        return [IntervalPoset._trusted(0, frozenset())]
+        return [IntervalPoset._trusted(0, ())]
     out: list[IntervalPoset] = []
     for i1 in initial_interval_sum(tree.left):
         for i2 in initial_interval_sum(tree.right):

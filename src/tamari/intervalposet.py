@@ -1,16 +1,21 @@
 """Interval-posets: posets on {1..n} encoding intervals of the Tamari lattice.
 
-A poset relation (written a prec b, stored as the pair (a, b)) says that a
-must come before b in every linear extension.  A poset on {1..n} is an
-interval-poset when both closure axioms hold:
+A poset relation (written a prec b) says that a must come before b in every
+linear extension.  A poset on {1..n} is an interval-poset when both closure
+axioms hold:
 
 * increasing closure: a prec c with a < c forces b prec c for all a < b < c;
 * decreasing closure: c prec a with a < c forces b prec a for all a < b < c.
 
 The decreasing relations alone then form the poset of a unique binary search
 tree (the lower end of the interval) and the increasing relations that of
-another (the upper end).  Relations are stored transitively closed; the text
-format serializes the transitive reduction.
+another (the upper end).
+
+A poset is stored as one successor mask per vertex: bit b-1 of ``succ[a-1]``
+is set iff a prec b.  The masks are transitively closed, so closure is a
+Warshall pass over ints and each closure axiom is one mask test per
+relation.  ``relations``, the set of (a, b) pairs, is derived from the
+masks on demand; the text format serializes the transitive reduction.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ from .order import (PERM_CAP, TREE_ORACLE_CAP, CapacityError, Permutation,
                     linear_extensions_of_relation, tamari_leq_oracle)
 from .poly import Polynomial
 from .trees import EMPTY, BinaryTree, enumerate_trees
-
-Relation = frozenset[tuple[int, int]]
 
 
 class IntervalPosetError(ValueError):
@@ -32,28 +35,58 @@ class IntervalPosetError(ValueError):
         self.witness = witness
 
 
-class IntervalPoset:
-    """Immutable interval-poset with transitively closed relation set."""
+def _labels(mask: int):
+    """The labels whose bits are set in ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
 
-    __slots__ = ("n", "relations", "_hash")
+
+def _span(lo: int, hi: int) -> int:
+    """Mask of the labels lo..hi (empty when lo > hi)."""
+    return (1 << hi) - (1 << (lo - 1)) if lo <= hi else 0
+
+
+def _predecessors(succ) -> list[int]:
+    """The transpose: bit a-1 of ``pred[b-1]`` is set iff a prec b."""
+    pred = [0] * len(succ)
+    for a, row in enumerate(succ):
+        bit = 1 << a
+        for b in _labels(row):
+            pred[b - 1] |= bit
+    return pred
+
+
+class IntervalPoset:
+    """Immutable interval-poset with transitively closed successor masks."""
+
+    __slots__ = ("n", "succ", "_hash")
 
     def __init__(self, n: int, relations=()):
         checked = validate(n, relations)
         self.n = checked.n
-        self.relations = checked.relations
+        self.succ = checked.succ
         self._hash = checked._hash
 
     @classmethod
-    def _trusted(cls, n: int, relations: Relation) -> IntervalPoset:
-        # internal: relations must already be closed and axiom-clean
+    def _trusted(cls, n: int, succ: tuple[int, ...]) -> IntervalPoset:
+        # internal: the masks must already be closed and axiom-clean
         poset = object.__new__(cls)
         poset.n = n
-        poset.relations = relations
-        poset._hash = hash((n, relations))
+        poset.succ = succ
+        poset._hash = hash((n, succ))
         return poset
 
+    @property
+    def relations(self) -> frozenset[tuple[int, int]]:
+        """Every (a, b) with a prec b, derived from the masks."""
+        return frozenset((a, b) for a, row in enumerate(self.succ, 1)
+                         for b in _labels(row))
+
     def prec(self, a: int, b: int) -> bool:
-        return (a, b) in self.relations
+        return (1 <= a <= self.n and 1 <= b <= self.n
+                and bool(self.succ[a - 1] >> (b - 1) & 1))
 
     def increasing_relations(self) -> set[tuple[int, int]]:
         return {(a, b) for a, b in self.relations if a < b}
@@ -63,10 +96,14 @@ class IntervalPoset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Transitive reduction, sorted by (a, b)."""
-        rels = self.relations
-        return sorted((a, b) for a, b in rels
-                      if not any((a, c) in rels and (c, b) in rels
-                                 for c in range(1, self.n + 1)))
+        succ = self.succ
+        out = []
+        for a, row in enumerate(succ, 1):
+            implied = 0
+            for c in _labels(row):
+                implied |= succ[c - 1]
+            out.extend((a, b) for b in _labels(row & ~implied))
+        return out
 
     def to_text(self) -> str:
         header = f"n={self.n}"
@@ -95,7 +132,7 @@ class IntervalPoset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalPoset):
             return NotImplemented
-        return self.n == other.n and self.relations == other.relations
+        return self.n == other.n and self.succ == other.succ
 
     def __hash__(self) -> int:
         return self._hash
@@ -104,27 +141,32 @@ class IntervalPoset:
         return f"<IntervalPoset {self.to_text().replace(chr(10), ' ')}>"
 
 
-def _transitive_closure(n: int, pairs) -> Relation:
-    succ: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for a, b in pairs:
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise ValueError(f"relation ({a},{b}) out of range 1..{n}")
-        if a == b:
+def _close_and_check(n: int, succ: list[int]) -> IntervalPoset:
+    """Close the masks in place and check antisymmetry and both axioms."""
+    for k in range(n):
+        bit, row = 1 << k, succ[k]
+        for a in range(n):
+            if succ[a] & bit:
+                succ[a] |= row
+    for a in range(n):
+        bit = 1 << a
+        if succ[a] & bit:
+            b = next(v for v in _labels(succ[a] ^ bit) if succ[v - 1] & bit)
             raise IntervalPosetError(
-                f"antisymmetry violated: reflexive relation {a}<{a}",
-                "antisymmetry", (a, a))
-        succ[a].add(b)
-    for k in range(1, n + 1):
-        for a in range(1, n + 1):
-            if k in succ[a]:
-                succ[a] |= succ[k]
-    for a in range(1, n + 1):
-        if a in succ[a]:
-            b = min(v for v in succ[a] if v != a and a in succ[v])
-            raise IntervalPosetError(
-                f"antisymmetry violated: cycle through {a} and {b}",
-                "antisymmetry", (a, b))
-    return frozenset((a, b) for a in range(1, n + 1) for b in succ[a])
+                f"antisymmetry violated: cycle through {a + 1} and {b}",
+                "antisymmetry", (a + 1, b))
+    pred = _predecessors(succ)
+    for p, row in enumerate(succ, 1):
+        for q in _labels(row):
+            missing = _span(min(p, q) + 1, max(p, q) - 1) & ~pred[q - 1]
+            if missing:
+                b = (missing & -missing).bit_length()
+                axiom = "increasing-closure" if p < q else "decreasing-closure"
+                witness = (p, b, q) if p < q else (q, b, p)
+                raise IntervalPosetError(
+                    f"{axiom} violated: {p}<{q} needs {b}<{q}, "
+                    f"witness {witness}", axiom, witness)
+    return IntervalPoset._trusted(n, tuple(succ))
 
 
 def validate(n: int, relations) -> IntervalPoset:
@@ -136,49 +178,47 @@ def validate(n: int, relations) -> IntervalPoset:
     """
     if n < 0:
         raise ValueError("size must be non-negative")
-    closed = _transitive_closure(n, relations)
-    for p, q in sorted(closed):
-        lo, hi = min(p, q), max(p, q)
-        for b in range(lo + 1, hi):
-            if (b, q) not in closed:
-                axiom = "increasing-closure" if p < q else "decreasing-closure"
-                witness = (p, b, q) if p < q else (q, b, p)
-                raise IntervalPosetError(
-                    f"{axiom} violated: {p}<{q} needs {b}<{q}, "
-                    f"witness {witness}", axiom, witness)
-    return IntervalPoset._trusted(n, closed)
+    succ = [0] * n
+    for a, b in relations:
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ValueError(f"relation ({a},{b}) out of range 1..{n}")
+        if a == b:
+            raise IntervalPosetError(
+                f"antisymmetry violated: reflexive relation {a}<{a}",
+                "antisymmetry", (a, a))
+        succ[a - 1] |= 1 << (b - 1)
+    return _close_and_check(n, succ)
 
 
-def _forest_relations(tree: BinaryTree, increasing: bool) -> set[tuple[int, int]]:
-    pairs: set[tuple[int, int]] = set()
+def _forest_masks(tree: BinaryTree, increasing: bool) -> list[int]:
+    succ = [0] * tree.size
 
     def walk(t: BinaryTree, lo: int) -> None:
         if not t:
             return
         root = lo + t.left.size
         hi = lo + t.size - 1
-        if increasing:
-            pairs.update((a, root) for a in range(lo, root))
-        else:
-            pairs.update((b, root) for b in range(root + 1, hi + 1))
+        bit = 1 << (root - 1)
+        for a in range(lo, root) if increasing else range(root + 1, hi + 1):
+            succ[a - 1] |= bit
         walk(t.left, lo)
         walk(t.right, root + 1)
 
     walk(tree, 1)
-    return pairs
+    return succ
 
 
 def inc_forest(tree: BinaryTree) -> IntervalPoset:
     """Increasing part of the tree's BST poset: a prec b iff a < b and a
     lies in the subtree rooted at b."""
     return IntervalPoset._trusted(
-        tree.size, frozenset(_forest_relations(tree, increasing=True)))
+        tree.size, tuple(_forest_masks(tree, increasing=True)))
 
 
 def dec_forest(tree: BinaryTree) -> IntervalPoset:
     """Decreasing part: b prec a iff b > a and b lies in a's subtree."""
     return IntervalPoset._trusted(
-        tree.size, frozenset(_forest_relations(tree, increasing=False)))
+        tree.size, tuple(_forest_masks(tree, increasing=False)))
 
 
 def make_interval(lower: BinaryTree, upper: BinaryTree) -> IntervalPoset | None:
@@ -189,10 +229,10 @@ def make_interval(lower: BinaryTree, upper: BinaryTree) -> IntervalPoset | None:
     """
     if lower.size != upper.size:
         raise ValueError("trees must have the same size")
-    pairs = (_forest_relations(lower, increasing=False)
-             | _forest_relations(upper, increasing=True))
+    succ = [d | i for d, i in zip(_forest_masks(lower, increasing=False),
+                                  _forest_masks(upper, increasing=True))]
     try:
-        poset = validate(lower.size, pairs)
+        poset = _close_and_check(lower.size, succ)
     except IntervalPosetError:
         return None
     if lower_tree(poset) != lower or upper_tree(poset) != upper:
@@ -206,33 +246,31 @@ def lower_tree(poset: IntervalPoset) -> BinaryTree:
     The root of the tree on a label range is the smallest label r such that
     every larger label in the range sits below r; the two sides recurse.
     """
-    dec = poset.decreasing_relations()
+    pred = _predecessors(poset.succ)
 
-    def build(labels: list[int]) -> BinaryTree:
-        if not labels:
+    def build(lo: int, hi: int) -> BinaryTree:
+        if lo > hi:
             return EMPTY
-        root = next(r for r in labels
-                    if all((b, r) in dec for b in labels if b > r))
-        i = labels.index(root)
-        return BinaryTree(build(labels[:i]), build(labels[i + 1:]))
+        root = next(r for r in range(lo, hi + 1)
+                    if not _span(r + 1, hi) & ~pred[r - 1])
+        return BinaryTree(build(lo, root - 1), build(root + 1, hi))
 
-    return build(list(range(1, poset.n + 1)))
+    return build(1, poset.n)
 
 
 def upper_tree(poset: IntervalPoset) -> BinaryTree:
     """Mirror reconstruction from the increasing part: the root of a label
     range is the largest label with every smaller label below it."""
-    inc = poset.increasing_relations()
+    pred = _predecessors(poset.succ)
 
-    def build(labels: list[int]) -> BinaryTree:
-        if not labels:
+    def build(lo: int, hi: int) -> BinaryTree:
+        if lo > hi:
             return EMPTY
-        root = next(r for r in reversed(labels)
-                    if all((a, r) in inc for a in labels if a < r))
-        i = labels.index(root)
-        return BinaryTree(build(labels[:i]), build(labels[i + 1:]))
+        root = next(r for r in range(hi, lo - 1, -1)
+                    if not _span(lo, r - 1) & ~pred[r - 1])
+        return BinaryTree(build(lo, root - 1), build(root + 1, hi))
 
-    return build(list(range(1, poset.n + 1)))
+    return build(1, poset.n)
 
 
 def intersect(i1: IntervalPoset, i2: IntervalPoset) -> IntervalPoset | None:
@@ -240,7 +278,7 @@ def intersect(i1: IntervalPoset, i2: IntervalPoset) -> IntervalPoset | None:
     if i1.n != i2.n:
         raise ValueError("posets must have the same size")
     try:
-        return validate(i1.n, i1.relations | i2.relations)
+        return _close_and_check(i1.n, [a | b for a, b in zip(i1.succ, i2.succ)])
     except IntervalPosetError:
         return None
 
@@ -253,26 +291,24 @@ def interval_contains(outer: IntervalPoset, inner: IntervalPoset) -> bool:
     """
     if outer.n != inner.n:
         raise ValueError("posets must have the same size")
-    return outer.relations <= inner.relations
+    return not any(o & ~i for o, i in zip(outer.succ, inner.succ))
 
 
 def is_decreasing_refinement(base: IntervalPoset, refined: IntervalPoset) -> bool:
     """All of base's relations hold in refined and every new relation is
     decreasing; equivalently the two intervals share their upper tree and
     refined's lower tree is weakly higher."""
-    if base.n != refined.n:
-        raise ValueError("posets must have the same size")
-    return (base.relations <= refined.relations
-            and all(a > b for a, b in refined.relations - base.relations))
+    return interval_contains(base, refined) and not any(
+        r & ~b & ~_span(1, v - 1)
+        for v, (b, r) in enumerate(zip(base.succ, refined.succ), 1))
 
 
 def is_increasing_refinement(base: IntervalPoset, refined: IntervalPoset) -> bool:
     """Mirror of :func:`is_decreasing_refinement`: new relations increasing,
     shared lower tree, weakly lower upper tree."""
-    if base.n != refined.n:
-        raise ValueError("posets must have the same size")
-    return (base.relations <= refined.relations
-            and all(a < b for a, b in refined.relations - base.relations))
+    return interval_contains(base, refined) and not any(
+        r & ~b & _span(1, v - 1)
+        for v, (b, r) in enumerate(zip(base.succ, refined.succ), 1))
 
 
 def linear_extensions(poset: IntervalPoset,
@@ -301,8 +337,7 @@ def _decreasing_roots(poset: IntervalPoset) -> list[int]:
     component the root is the only vertex that precedes no smaller label,
     and it is also the component's minimal label.
     """
-    inner = {a for a, b in poset.relations if a > b}
-    return [v for v in range(1, poset.n + 1) if v not in inner]
+    return [v for v, row in enumerate(poset.succ, 1) if not row & _span(1, v - 1)]
 
 
 def decreasing_components(poset: IntervalPoset) -> int:
@@ -314,6 +349,8 @@ def decreasing_components(poset: IntervalPoset) -> int:
 def stat_monomial(poset: IntervalPoset) -> Polynomial:
     """The statistic monomial x^(decreasing components) * y^n * b^(vertices
     with an incoming decreasing relation)."""
-    targets = {b for a, b in poset.relations if a > b}
+    targets = 0
+    for v, row in enumerate(poset.succ, 1):
+        targets |= row & _span(1, v - 1)
     return Polynomial.monomial(1, ex=decreasing_components(poset),
-                               ey=poset.n, eb=len(targets))
+                               ey=poset.n, eb=targets.bit_count())

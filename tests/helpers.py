@@ -4,12 +4,14 @@ The order oracles recompute data from the covering relation by closure,
 independently of the structured algorithms under test, and cache per size
 so exhaustive suites stay fast.  The series and tree-polynomial references
 redo on sparse polynomials what the package does on dense coefficient
-lists.
+lists, and the interval-poset references redo on frozensets of (a, b)
+pairs what the package does on per-vertex successor masks.
 """
 
 from functools import cache
 from math import comb
 
+from tamari.intervalposet import IntervalPosetError
 from tamari.mtamari import (BallotPath, MAryTree, enumerate_ballot_paths,
                             multilinear_Bm, path_upset)
 from tamari.order import sylvester_class, tamari_upset
@@ -117,3 +119,74 @@ def mtamari_interval_count(m: int, n: int) -> int:
                          n * (m * n + 1))
     assert rest == 0
     return count
+
+
+def transitive_closure_sparse(n: int, pairs) -> frozenset[tuple[int, int]]:
+    succ: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    for a, b in pairs:
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ValueError(f"relation ({a},{b}) out of range 1..{n}")
+        if a == b:
+            raise IntervalPosetError(
+                f"antisymmetry violated: reflexive relation {a}<{a}",
+                "antisymmetry", (a, a))
+        succ[a].add(b)
+    for k in range(1, n + 1):
+        for a in range(1, n + 1):
+            if k in succ[a]:
+                succ[a] |= succ[k]
+    for a in range(1, n + 1):
+        if a in succ[a]:
+            b = min(v for v in succ[a] if v != a and a in succ[v])
+            raise IntervalPosetError(
+                f"antisymmetry violated: cycle through {a} and {b}",
+                "antisymmetry", (a, b))
+    return frozenset((a, b) for a in range(1, n + 1) for b in succ[a])
+
+
+def validate_sparse(n: int, relations) -> frozenset[tuple[int, int]]:
+    """The closed relation set of a valid interval-poset, or the same
+    IntervalPosetError (axiom, witness, message) that validate raises."""
+    if n < 0:
+        raise ValueError("size must be non-negative")
+    closed = transitive_closure_sparse(n, relations)
+    for p, q in sorted(closed):
+        lo, hi = min(p, q), max(p, q)
+        for b in range(lo + 1, hi):
+            if (b, q) not in closed:
+                axiom = "increasing-closure" if p < q else "decreasing-closure"
+                witness = (p, b, q) if p < q else (q, b, p)
+                raise IntervalPosetError(
+                    f"{axiom} violated: {p}<{q} needs {b}<{q}, "
+                    f"witness {witness}", axiom, witness)
+    return closed
+
+
+def decreasing_roots_sparse(n: int, relations) -> list[int]:
+    inner = {a for a, b in relations if a > b}
+    return [v for v in range(1, n + 1) if v not in inner]
+
+
+def compose_sparse(k1: int, rels1, k2: int, rels2) -> list[tuple[int, frozenset]]:
+    """(size, relations) of every composition term, by absorbed-root count."""
+    n = k1 + k2 + 1
+    new = k1 + 1
+    shifted = {(a + new, b + new) for a, b in rels2}
+    base = set(rels1) | shifted | {(i, new) for i in range(1, new)}
+    out = [(n, frozenset(base))]
+    for root in decreasing_roots_sparse(k2, rels2):
+        v = root + new
+        base.add((v, new))
+        base.update((w, new) for w, u in shifted if u == v)
+        out.append((n, frozenset(base)))
+    return out
+
+
+def decompose_sparse(n: int, rels) -> tuple[tuple[int, frozenset],
+                                            tuple[int, frozenset]]:
+    """(size, relations) of the two factors of the unique decomposition."""
+    k = max(k for k in range(1, n + 1)
+            if all((i, k) in rels for i in range(1, k)))
+    left = frozenset((a, b) for a, b in rels if a < k and b < k)
+    right = frozenset((a - k, b - k) for a, b in rels if a > k and b > k)
+    return (k - 1, left), (n - k, right)

@@ -116,6 +116,14 @@ def test_interval_extensions(capsys):
     assert len(lines) == 8
 
 
+def test_interval_warns_once_for_two_capped_sections(capsys):
+    code, out, err = run(capsys, "interval", "[_,_]", "[_,_]", "--trees",
+                         "--extensions", "--max-n", "9")
+    assert code == 0 and out.splitlines()[0] == "[_,_]"
+    assert err.splitlines() == ["warning: raising capacity cap to 9; "
+                                "brute-force routes are exponential"]
+
+
 def test_interval_incomparable(capsys):
     code, _, err = run(capsys, "interval", "[_,[_,[_,_]]]", "[[[_,_],_],_]")
     assert code == 1 and "not a Tamari interval" in err

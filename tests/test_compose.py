@@ -1,8 +1,9 @@
+import hashlib
 from collections import Counter
 
 import pytest
 
-from helpers import tree_upsets
+from helpers import compose_sparse, decompose_sparse, tree_upsets
 from tamari.compose import (compose, decompose, enumerate_interval_posets,
                             initial_interval_sum)
 from tamari.intervalposet import (IntervalPoset, inc_forest, lower_tree,
@@ -133,6 +134,43 @@ def test_enumeration_is_trusted_but_still_valid():
         assert validate(poset.n, poset.relations) == poset
     keys = [sorted(p.relations) for p in enumerate_interval_posets(6)]
     assert keys == sorted(keys)
+
+
+def test_compose_matches_sparse_reference():
+    for k1 in range(7):
+        for k2 in range(7 - k1):
+            for i1 in enumerate_interval_posets(k1):
+                for i2 in enumerate_interval_posets(k2):
+                    assert [(t.n, t.relations) for t in compose(i1, i2)] == \
+                        compose_sparse(k1, i1.relations, k2, i2.relations)
+
+
+def test_decompose_matches_sparse_reference():
+    for n in range(1, 8):
+        for poset in enumerate_interval_posets(n):
+            i1, i2 = decompose(poset)
+            assert ((i1.n, i1.relations), (i2.n, i2.relations)) == \
+                decompose_sparse(n, poset.relations)
+
+
+# sha256 of the enumeration's text, recorded from the frozenset
+# implementation; it pins both the canonical order and covers()
+ENUMERATION_TEXT_SHA256 = {
+    0: "3574b3ebe35735889de217b3d8e3e3a4c10718a326c9139df0c4e6fb0e1153bd",
+    1: "097fda1929fc1bf17e752cb9c639b5796651162ff2c00af5d4c82e40a155cb86",
+    2: "d218ff9a7fe7c8a349420bf3f473df54cccc2da2e142cb9fb6c5f70ccef24c37",
+    3: "11bcaddaffd28a38edb8a18e54e5a6ddabb57656acb2edfa424a1a194ca8404e",
+    4: "91e1db2818f91c835903179c8357c53405724d398130b09840bb4b15353e6ae3",
+    5: "34676ae5cc1b879273f398bce77a3aa065dc603ac5c5752dac123ae563b01fb1",
+    6: "7461e4345b80401aebd05d86066763f6aae0baa6ff421fb7731861bd001ed475",
+    7: "ef6546c1eefb73d3923557c25bbfd9a5793ee0cdc951047fd115cd8fe47c94be",
+}
+
+
+def test_enumeration_text_is_pinned():
+    for n, digest in ENUMERATION_TEXT_SHA256.items():
+        text = "\n\n".join(p.to_text() for p in enumerate_interval_posets(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
 
 
 def test_enumerate_interval_posets_counts():

@@ -57,6 +57,7 @@ CASES = [
     ["interval", LOWER4, UPPER4, "--poset", "--trees", "--extensions",
      "--json"],
     ["interval", LOWER4, UPPER4, "--extensions", "--max-n", "9"],
+    ["interval", "[_,_]", "[_,_]", "--trees", "--extensions", "--max-n", "9"],
     ["interval", "[_,[_,[_,_]]]", "[[[_,_],_],_]"],
     ["interval", "[_,_]", "[[_,_],_]"],
     ["interval", COMB8, COMB8, "--extensions"],

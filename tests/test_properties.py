@@ -6,7 +6,7 @@ from collections import defaultdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mary_poly_sparse, mirror, tree_poly_sparse
+from helpers import mary_poly_sparse, mirror, tree_poly_sparse, validate_sparse
 from tamari.intervalposet import IntervalPosetError, validate
 from tamari.mtamari import LEAF, MAryTree, mary_tamari_poly
 from tamari.poly import (B, ONE, Polynomial, X, delta, tamari_poly,
@@ -77,6 +77,38 @@ def test_validate_agrees_with_naive_scan(case):
         assert expected
         # relations must be closed and contain the input pairs
         assert set(pairs) <= poset.relations
+
+
+@st.composite
+def raw_relation_sets(draw):
+    """Pairs on 1..n with reflexive pairs and cycles allowed, and now and
+    then one pair out of range."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                          max_size=14)) if n else []
+    if n == 0 or draw(st.integers(0, 7)) == 0:
+        stray = draw(st.tuples(st.integers(0, n + 1), st.integers(0, n + 1)))
+        pairs.insert(draw(st.integers(0, len(pairs))), stray)
+    return n, pairs
+
+
+def _outcome(check, n, pairs):
+    try:
+        return "ok", check(n, pairs)
+    except IntervalPosetError as err:
+        return "axiom", err.axiom, err.witness, str(err)
+    except ValueError as err:
+        return "range", str(err)
+
+
+@settings(max_examples=500)
+@given(raw_relation_sets())
+def test_validate_matches_sparse_reference(case):
+    n, pairs = case
+    outcome = _outcome(validate, n, pairs)
+    if outcome[0] == "ok":
+        outcome = "ok", outcome[1].relations
+    assert outcome == _outcome(validate_sparse, n, pairs)
 
 
 def _dfs_closure(pairs, start):
