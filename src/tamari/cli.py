@@ -38,18 +38,20 @@ def _emit(args, lines: list[str], payload: dict) -> None:
 
 
 def _effective_cap(args, default: int) -> int:
-    if args.max_n is not None and args.max_n > default:
+    """The cap in force for a route capped at ``default``; only the first
+    route that --max-n raises warns, so a command warns at most once."""
+    if args.max_n is None or args.max_n <= default:
+        return default
+    if not args.warned:
         print(f"warning: raising capacity cap to {args.max_n}; "
               "brute-force routes are exponential", file=sys.stderr)
-        return args.max_n
-    return default
+        args.warned = True
+    return args.max_n
 
 
-def _gate(args, n: int, default: int, what: str, cap: int | None = None) -> int:
-    """The cap in force for ``what``; raises when n exceeds it.  A caller
-    that resolved --max-n already passes the result as ``cap``."""
-    if cap is None:
-        cap = _effective_cap(args, default)
+def _gate(args, n: int, default: int, what: str) -> int:
+    """The cap in force for ``what``; raises when n exceeds it."""
+    cap = _effective_cap(args, default)
     if n > cap:
         raise CommandError(f"{what} capped at n={default} "
                            "(override with --max-n)")
@@ -114,12 +116,6 @@ def cmd_interval(args) -> int:
     show_trees = args.trees
     show_extensions = args.extensions
     show_poset = args.poset or not (show_trees or show_extensions)
-    # --max-n is resolved once for all the capped sections shown, so the
-    # command warns at most once
-    defaults = [default for default, shown in
-                ((order.TREE_ORACLE_CAP, show_trees),
-                 (order.PERM_CAP, show_extensions)) if shown]
-    raised = _effective_cap(args, min(defaults)) if defaults else 0
 
     lines: list[str] = []
     payload: dict = {"lower": trees.format_tree(lower),
@@ -129,13 +125,12 @@ def cmd_interval(args) -> int:
         payload["poset"] = poset.to_text()
     if show_trees:
         inside = intervalposet.trees_in_interval(
-            poset, max_n=max(order.TREE_ORACLE_CAP, raised))
+            poset, max_n=_effective_cap(args, order.TREE_ORACLE_CAP))
         literals = [trees.format_tree(t) for t in inside]
         lines.extend(literals)
         payload["trees"] = literals
     if show_extensions:
-        cap = _gate(args, poset.n, order.PERM_CAP, "extensions are",
-                    cap=max(order.PERM_CAP, raised))
+        cap = _gate(args, poset.n, order.PERM_CAP, "extensions are")
         extensions = sorted(intervalposet.linear_extensions(poset, max_n=cap))
         low = min(extensions, key=lambda p: (len(order.coinv(p)), p))
         high = max(extensions, key=lambda p: (len(order.coinv(p)), p))
@@ -290,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    args.warned = False  # _effective_cap warns once per invocation
     try:
         return args.func(args)
     except CommandError as exc:

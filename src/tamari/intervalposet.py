@@ -48,16 +48,6 @@ def _span(lo: int, hi: int) -> int:
     return (1 << hi) - (1 << (lo - 1)) if lo <= hi else 0
 
 
-def _predecessors(succ) -> list[int]:
-    """The transpose: bit a-1 of ``pred[b-1]`` is set iff a prec b."""
-    pred = [0] * len(succ)
-    for a, row in enumerate(succ):
-        bit = 1 << a
-        for b in _labels(row):
-            pred[b - 1] |= bit
-    return pred
-
-
 class IntervalPoset:
     """Immutable interval-poset with transitively closed successor masks."""
 
@@ -155,7 +145,10 @@ def _close_and_check(n: int, succ: list[int]) -> IntervalPoset:
             raise IntervalPosetError(
                 f"antisymmetry violated: cycle through {a + 1} and {b}",
                 "antisymmetry", (a + 1, b))
-    pred = _predecessors(succ)
+    pred = [0] * n  # the transpose: bit a-1 of pred[b-1] iff a prec b
+    for a, row in enumerate(succ):
+        for b in _labels(row):
+            pred[b - 1] |= 1 << a
     for p, row in enumerate(succ, 1):
         for q in _labels(row):
             missing = _span(min(p, q) + 1, max(p, q) - 1) & ~pred[q - 1]
@@ -224,53 +217,48 @@ def dec_forest(tree: BinaryTree) -> IntervalPoset:
 def make_interval(lower: BinaryTree, upper: BinaryTree) -> IntervalPoset | None:
     """The interval-poset of [lower, upper], or None when incomparable.
 
-    Takes the closure of dec_forest(lower) with inc_forest(upper) and keeps
-    it only if it is a valid interval-poset reproducing both endpoints.
+    Takes the closure of dec_forest(lower) with inc_forest(upper).  By the
+    bijection between Tamari intervals and interval-posets, the closure is
+    a valid interval-poset exactly when lower <= upper, and its endpoints
+    are then lower and upper themselves, so they are not re-derived.
     """
     if lower.size != upper.size:
         raise ValueError("trees must have the same size")
     succ = [d | i for d, i in zip(_forest_masks(lower, increasing=False),
                                   _forest_masks(upper, increasing=True))]
     try:
-        poset = _close_and_check(lower.size, succ)
+        return _close_and_check(lower.size, succ)
     except IntervalPosetError:
         return None
-    if lower_tree(poset) != lower or upper_tree(poset) != upper:
-        return None
-    return poset
+
+
+def _forest_tree(poset: IntervalPoset, increasing: bool) -> BinaryTree:
+    """Inverse of :func:`_forest_masks`.  The root of a subtree's label
+    range lo..hi is the smallest label in it that hi precedes or is (the
+    decreasing part), or the largest that lo precedes or is (increasing)."""
+    succ = poset.succ
+
+    def build(lo: int, hi: int) -> BinaryTree:
+        if lo > hi:
+            return EMPTY
+        if increasing:
+            root = ((succ[lo - 1] | 1 << (lo - 1)) & _span(lo, hi)).bit_length()
+        else:
+            row = (succ[hi - 1] | 1 << (hi - 1)) & _span(lo, hi)
+            root = (row & -row).bit_length()
+        return BinaryTree(build(lo, root - 1), build(root + 1, hi))
+
+    return build(1, poset.n)
 
 
 def lower_tree(poset: IntervalPoset) -> BinaryTree:
-    """The tree whose decreasing forest matches the poset's decreasing part.
-
-    The root of the tree on a label range is the smallest label r such that
-    every larger label in the range sits below r; the two sides recurse.
-    """
-    pred = _predecessors(poset.succ)
-
-    def build(lo: int, hi: int) -> BinaryTree:
-        if lo > hi:
-            return EMPTY
-        root = next(r for r in range(lo, hi + 1)
-                    if not _span(r + 1, hi) & ~pred[r - 1])
-        return BinaryTree(build(lo, root - 1), build(root + 1, hi))
-
-    return build(1, poset.n)
+    """The tree whose decreasing forest matches the poset's decreasing part."""
+    return _forest_tree(poset, increasing=False)
 
 
 def upper_tree(poset: IntervalPoset) -> BinaryTree:
-    """Mirror reconstruction from the increasing part: the root of a label
-    range is the largest label with every smaller label below it."""
-    pred = _predecessors(poset.succ)
-
-    def build(lo: int, hi: int) -> BinaryTree:
-        if lo > hi:
-            return EMPTY
-        root = next(r for r in range(hi, lo - 1, -1)
-                    if not _span(lo, r - 1) & ~pred[r - 1])
-        return BinaryTree(build(lo, root - 1), build(root + 1, hi))
-
-    return build(1, poset.n)
+    """The tree whose increasing forest matches the poset's increasing part."""
+    return _forest_tree(poset, increasing=True)
 
 
 def intersect(i1: IntervalPoset, i2: IntervalPoset) -> IntervalPoset | None:

@@ -11,14 +11,17 @@ prefix reading taken right to left: each node contributes a north step, each
 leaf an east step, and the trailing east step is dropped.  Applying the
 chained slope form to the children of every node (and x to every leaf)
 yields a counting polynomial for the path's lower set, checked here at x=1.
+
+The m-Tamari series comes from the solver in :mod:`tamari.poly`, whose m = 1
+case is Chapoton's equation for Tamari intervals.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .poly import (Polynomial, X, Y, _cauchy, _delta, _mul, _to_polynomial,
-                   delta)
+from .poly import (Polynomial, X, Y, _delta, _mul, _series_layers,
+                   _to_polynomial, delta)
 
 
 class BallotPath:
@@ -211,38 +214,27 @@ def multilinear_Bm(polys: list[Polynomial]) -> Polynomial:
     xy * f1.  The m-Tamari recursion applies it to m+1 series."""
     if not polys:
         raise ValueError("the form needs at least one polynomial")
-    if len(polys) == 1:
-        return X * Y * polys[0]
     chain = polys[-1]
-    for f in polys[-2:0:-1]:
+    for f in reversed(polys[:-1]):
         chain = f * delta(chain)
-    return X * Y * polys[0] * delta(chain)
+    return X * Y * chain
 
 
 def phi_m_series(m: int, max_degree: int) -> Polynomial:
-    """The m-Tamari interval series through y^max_degree, solving
-    Phi = x + B(Phi, ..., Phi) with m+1 arguments degree by degree.
+    """The m-Tamari interval series through y^max_degree, the solution of
+    Phi = x + B(Phi, ..., Phi) with m+1 arguments.
 
     The chained form nests C_1 = Phi and C_(j+1) = Phi * delta(C_j), so
-    Phi = x + xy * Phi * delta(C_m).  The coefficient of y^0 is x, and that
-    of y^n is x * sum_k Phi_k * delta(C_m)_(n-1-k); each C_j at degree n
-    then follows from Phi up to degree n.
+    Phi = x + xy * Phi * delta(C_m).  Phi is x times the series that
+    :mod:`tamari.poly` solves degree by degree for every m; at m = 1 that
+    series is :func:`tamari.poly.phi_series`.
     """
     if m < 1:
         raise ValueError("slope parameter m must be at least 1")
     if max_degree < 0:
         raise ValueError("series order must be non-negative")
-    layers: list[list[int]] = []
-    slopes: list[list[list[int]]] = [[] for _ in range(m)]  # delta(C_(j+1))
-    for n in range(max_degree + 1):
-        layer = ([0] + _cauchy(layers, slopes[-1], n - 1)) if n else [0, 1]
-        layers.append(layer)
-        chain = layer
-        for j in range(m):
-            if j:
-                chain = _cauchy(layers, slopes[j - 1], n)
-            slopes[j].append(_delta(chain))
-    return _to_polynomial(layers)
+    return _to_polynomial([[0] + layer
+                           for layer in _series_layers(m, max_degree)])
 
 
 def mary_tamari_poly(tree: MAryTree) -> Polynomial:
@@ -263,10 +255,8 @@ def _mary_layer(tree: MAryTree) -> tuple[list[int], int]:
         layers.append(layer)
         nodes += count
     chain = layers[-1]
-    for f in layers[-2:0:-1]:
+    for f in reversed(layers[:-1]):
         chain = _mul(f, _delta(chain))
-    if len(layers) > 1:
-        chain = _mul(layers[0], _delta(chain))
     return [0] + chain, nodes
 
 

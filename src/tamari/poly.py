@@ -10,7 +10,9 @@ prints as ``c*x^a*y^b*b^c`` with unit coefficients and exponents elided, and
 the output parses back with :func:`parse_polynomial`.
 
 The tree polynomials and the series work on dense coefficient lists and
-convert to :class:`Polynomial` only on return.
+convert to :class:`Polynomial` only on return.  One degree-by-degree solver
+serves both series: the m-Tamari equation for every slope m, of which
+Chapoton's equation Phi = B(Phi, Phi) + 1 is the m = 1 case.
 """
 
 from __future__ import annotations
@@ -339,22 +341,38 @@ def _tree_layers(tree: BinaryTree, mirror: bool, bivar: bool) -> list[list[int]]
             for d in range(len(f) + len(factor) - 1)]
 
 
+def _series_layers(m: int, max_degree: int) -> list[list[int]]:
+    """Phi_m / x through y^max_degree, as dense x-lists per y-degree.
+
+    The m-Tamari series Phi_m = x + B_m(Phi_m, ..., Phi_m) becomes
+    Psi = 1 + xy * Psi * S_m for Psi = Phi_m / x, because delta(x*g) =
+    g + delta(g); here S_1 = Psi + delta(Psi) and S_(j+1) = Psi*S_j +
+    delta(Psi*S_j).  Degree n of Psi, then of S_1..S_m, needs only lower
+    degrees of Psi.  At m = 1, Psi is Chapoton's Phi.
+    """
+    layers = [[1]]
+    slopes = [[[1]] for _ in range(m)]  # S_1 .. S_m, each 1 at degree 0
+    for n in range(1, max_degree + 1):
+        layer = [0] + _cauchy(layers, slopes[-1], n - 1)
+        layers.append(layer)
+        chain = layer
+        for j, slope in enumerate(slopes):
+            if j:
+                chain = _cauchy(layers, slopes[j - 1], n)
+            slope.append(_add(chain, _delta(chain)))
+    return layers
+
+
 def phi_series(max_degree: int) -> Polynomial:
     """The interval generating function Phi(x, y) through y^max_degree.
 
-    Solves Phi = B(Phi, Phi) + 1 degree by degree: the coefficient of y^0 is
-    1, and that of y^n is x * sum_k P_k * (P_(n-1-k) + delta(P_(n-1-k))),
-    which only involves lower degrees.
+    Phi = B(Phi, Phi) + 1 is the m = 1 case of the m-Tamari equation, so
+    the shared solver gives it: the coefficient of y^0 is 1, and that of y^n
+    is x * sum_k P_k * (P_(n-1-k) + delta(P_(n-1-k))).
     """
     if max_degree < 0:
         raise ValueError("series order must be non-negative")
-    layers = [[1]]
-    factors = [[1]]  # P_j + delta(P_j)
-    for n in range(1, max_degree + 1):
-        layer = [0] + _cauchy(layers, factors, n - 1)
-        layers.append(layer)
-        factors.append(_add(layer, _delta(layer)))
-    return _to_polynomial(layers)
+    return _to_polynomial(_series_layers(1, max_degree))
 
 
 def chapoton_count(n: int) -> int:

@@ -124,6 +124,13 @@ def test_interval_warns_once_for_two_capped_sections(capsys):
                                 "brute-force routes are exponential"]
 
 
+def test_count_all_methods_warns_once(capsys):
+    code, out, err = run(capsys, "count", "4", "--all-methods", "--max-n", "12")
+    assert code == 0 and out.splitlines()[-1] == "MATCH"
+    assert err.splitlines() == ["warning: raising capacity cap to 12; "
+                                "brute-force routes are exponential"]
+
+
 def test_interval_incomparable(capsys):
     code, _, err = run(capsys, "interval", "[_,[_,[_,_]]]", "[[[_,_],_],_]")
     assert code == 1 and "not a Tamari interval" in err

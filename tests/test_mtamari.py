@@ -155,7 +155,7 @@ def test_phi_m_series_matches_brute_force_interval_counts():
 
 
 def test_phi_m_series_matches_fixed_point():
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4):
         reference = phi_m_series_fixed_point(m, 6)
         for n in range(7):
             assert phi_m_series(m, n) == reference.truncate_y(n)
@@ -164,7 +164,7 @@ def test_phi_m_series_matches_fixed_point():
 def test_phi_m_series_matches_closed_form():
     assert [mtamari_interval_count(1, n) for n in range(11)] == \
         [chapoton_count(n) for n in range(11)]
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4):
         phi = phi_m_series(m, 10)
         for n in range(11):
             assert phi.y_coefficient(n).subs(x=1).constant() == \

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import mary_poly_sparse, mirror, tree_poly_sparse, validate_sparse
-from tamari.intervalposet import IntervalPosetError, validate
+from tamari.intervalposet import (IntervalPosetError, dec_forest, inc_forest,
+                                  lower_tree, make_interval, upper_tree,
+                                  validate)
 from tamari.mtamari import LEAF, MAryTree, mary_tamari_poly
 from tamari.poly import (B, ONE, Polynomial, X, delta, tamari_poly,
                          tamari_poly_bivar, tamari_poly_mirror)
@@ -216,6 +218,24 @@ def test_rotation_preserves_size_and_is_invertible(tree, data):
     # some left rotation undoes it, so the rewrite was local and lossless
     assert any(rotate_left_at(rotated, k) == tree
                for k in range(1, tree.size + 1))
+
+
+# --- interval endpoints on trees beyond the exhaustive sizes --------------
+
+@settings(max_examples=100)
+@given(random_trees(max_size=40), st.data())
+def test_make_interval_keeps_its_endpoints(tree, data):
+    upper = tree
+    for _ in range(data.draw(st.integers(1, 6))):
+        label = data.draw(st.integers(1, upper.size))
+        upper = rotate_right_at(upper, label) or upper
+    poset = make_interval(tree, upper)
+    assert poset is not None
+    assert lower_tree(poset) == tree and upper_tree(poset) == upper
+    if upper != tree:
+        assert make_interval(upper, tree) is None
+    assert lower_tree(dec_forest(tree)) == tree
+    assert upper_tree(inc_forest(tree)) == tree
 
 
 # --- dense tree polynomials against the sparse fold -----------------------
