@@ -94,8 +94,9 @@ def cmd_poly(args) -> int:
         variant, p = "bivar", poly.tamari_poly_bivar(tree)
     else:
         variant, p = "standard", poly.tamari_poly(tree)
-    payload = {"tree": trees.format_tree(tree), "variant": variant,
-               "polynomial": str(p)}
+    payload = {"variant": variant, "polynomial": str(p)}
+    if args.json:  # text output never shows the tree
+        payload["tree"] = trees.format_tree(tree)
     if args.at_one:
         value = p.subs(x=1, b=1).constant()
         payload["at_one"] = value

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import cache
 
 from .intervalposet import IntervalPoset, _decreasing_roots
-from .trees import BinaryTree
+from .trees import BinaryTree, _fold, _postfix
 
 
 def compose(i1: IntervalPoset, i2: IntervalPoset) -> list[IntervalPoset]:
@@ -103,10 +103,6 @@ def enumerate_interval_posets(n: int) -> list[IntervalPoset]:
 def initial_interval_sum(tree: BinaryTree) -> list[IntervalPoset]:
     """All interval-posets whose increasing part is the increasing forest
     of ``tree``: one poset per tree below it in the Tamari order."""
-    if not tree:
-        return [IntervalPoset._trusted(0, ())]
-    out: list[IntervalPoset] = []
-    for i1 in initial_interval_sum(tree.left):
-        for i2 in initial_interval_sum(tree.right):
-            out.extend(compose(i1, i2))
-    return out
+    return _fold(_postfix(tree), [IntervalPoset._trusted(0, ())],
+                 lambda left, right: [p for i1 in left for i2 in right
+                                      for p in compose(i1, i2)])

@@ -23,7 +23,7 @@ from __future__ import annotations
 from .order import (PERM_CAP, TREE_ORACLE_CAP, CapacityError, Permutation,
                     linear_extensions_of_relation, tamari_leq_oracle)
 from .poly import Polynomial
-from .trees import EMPTY, BinaryTree, enumerate_trees
+from .trees import EMPTY, BinaryTree, _fold, enumerate_trees
 
 
 class IntervalPosetError(ValueError):
@@ -184,20 +184,18 @@ def validate(n: int, relations) -> IntervalPoset:
 
 
 def _forest_masks(tree: BinaryTree, increasing: bool) -> list[int]:
+    """Each vertex's successors in one forest of the tree: the ancestors
+    whose left subtree holds it (increasing) or whose right one does."""
     succ = [0] * tree.size
-
-    def walk(t: BinaryTree, lo: int) -> None:
-        if not t:
-            return
-        root = lo + t.left.size
-        hi = lo + t.size - 1
-        bit = 1 << (root - 1)
-        for a in range(lo, root) if increasing else range(root + 1, hi + 1):
-            succ[a - 1] |= bit
-        walk(t.left, lo)
-        walk(t.right, root + 1)
-
-    walk(tree, 1)
+    stack = [(tree, 1, 0)]  # a subtree, its first label, its ancestors' mask
+    while stack:
+        t, lo, above = stack.pop()
+        if t:
+            root = lo + t.left.size
+            succ[root - 1] = above
+            bit = 1 << (root - 1)
+            stack += ((t.left, lo, above | bit if increasing else above),
+                      (t.right, root + 1, above if increasing else above | bit))
     return succ
 
 
@@ -235,20 +233,25 @@ def make_interval(lower: BinaryTree, upper: BinaryTree) -> IntervalPoset | None:
 def _forest_tree(poset: IntervalPoset, increasing: bool) -> BinaryTree:
     """Inverse of :func:`_forest_masks`.  The root of a subtree's label
     range lo..hi is the smallest label in it that hi precedes or is (the
-    decreasing part), or the largest that lo precedes or is (increasing)."""
-    succ = poset.succ
+    decreasing part), or the largest that lo precedes or is (increasing).
 
-    def build(lo: int, hi: int) -> BinaryTree:
+    Splitting ranges on a stack, right half popped first, meets the nodes
+    in reversed postorder, so the tree is built from that reading.
+    """
+    succ = poset.succ
+    ranges, code = [(1, poset.n)], []
+    while ranges:
+        lo, hi = ranges.pop()
+        code.append(2 if lo <= hi else 0)
         if lo > hi:
-            return EMPTY
+            continue
         if increasing:
             root = ((succ[lo - 1] | 1 << (lo - 1)) & _span(lo, hi)).bit_length()
         else:
             row = (succ[hi - 1] | 1 << (hi - 1)) & _span(lo, hi)
             root = (row & -row).bit_length()
-        return BinaryTree(build(lo, root - 1), build(root + 1, hi))
-
-    return build(1, poset.n)
+        ranges += ((lo, root - 1), (root + 1, hi))
+    return _fold(reversed(code), EMPTY, BinaryTree)
 
 
 def lower_tree(poset: IntervalPoset) -> BinaryTree:

@@ -19,9 +19,11 @@ case is Chapoton's equation for Tamari intervals.
 from __future__ import annotations
 
 from functools import cache
+from operator import attrgetter
 
 from .poly import (Polynomial, X, Y, _delta, _mul, _series_layers,
                    _to_polynomial, delta)
+from .trees import _fold, _postfix
 
 
 class BallotPath:
@@ -147,65 +149,43 @@ class MAryTree:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MAryTree):
             return NotImplemented
-        return self._hash == other._hash and self.children == other.children
+        # the postfix code determines the tree
+        return self._hash == other._hash and (
+            _postfix(self, _mary_children) == _postfix(other, _mary_children))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        if self.is_leaf:
-            return "Leaf"
-        return f"Node({', '.join(map(repr, self.children))})"
+        return _fold(_postfix(self, _mary_children), "Leaf",
+                     lambda *parts: f"Node({', '.join(parts)})")
 
 
 LEAF = MAryTree()
+_mary_children = attrgetter("children")
 
 
 def path_to_mary_prefix(path: BallotPath) -> MAryTree:
     """The tree whose right-to-left prefix reading gives the path.
 
-    Parses the word plus the dropped trailing east step; after each north
-    step the m+1 children follow rightmost first.
+    Reads the word plus the dropped trailing east step backwards, which is
+    a postfix code: E is a leaf, and N takes the last m+1 trees read as its
+    children.  The ballot condition is what makes this code close exactly
+    at the last step.
     """
-    word = path.steps + "E"
     arity = path.m + 1
-    pos = 0
-
-    def parse() -> MAryTree:
-        nonlocal pos
-        if pos >= len(word):
-            raise ValueError("path word ends inside a subtree")
-        step = word[pos]
-        pos += 1
-        if step == "E":
-            return LEAF
-        read = tuple(parse() for _ in range(arity))
-        return MAryTree(read[::-1])
-
-    tree = parse()
-    if pos != len(word):
-        raise ValueError(f"trailing steps at position {pos}")
-    return tree
+    code = (arity if step == "N" else 0 for step in reversed(path.steps + "E"))
+    return _fold(code, LEAF, lambda *children: MAryTree(children))
 
 
 def mary_to_path_prefix(tree: MAryTree, m: int) -> BallotPath:
     """Inverse reading: emit N per node and E per leaf, children right to
-    left, and drop the final east step."""
-    out: list[str] = []
-
-    def walk(t: MAryTree) -> None:
-        if t.is_leaf:
-            out.append("E")
-            return
-        if len(t.children) != m + 1:
-            raise ValueError(f"expected {m + 1} children, got {len(t.children)}")
-        out.append("N")
-        for child in reversed(t.children):
-            walk(child)
-
-    walk(tree)
-    assert out[-1] == "E"
-    return BallotPath(m, "".join(out[:-1]))
+    left (the postorder reversed), and drop the final east step."""
+    code = _postfix(tree, _mary_children)
+    bad = next((k for k in code if k not in (0, m + 1)), None)
+    if bad is not None:
+        raise ValueError(f"expected {m + 1} children, got {bad}")
+    return BallotPath(m, "".join("N" if k else "E" for k in reversed(code[1:])))
 
 
 def multilinear_Bm(polys: list[Polynomial]) -> Polynomial:
@@ -247,17 +227,14 @@ def mary_tamari_poly(tree: MAryTree) -> Polynomial:
 def _mary_layer(tree: MAryTree) -> tuple[list[int], int]:
     """The counting polynomial as a dense x-list, and its y-degree (the
     number of nodes)."""
-    if tree.is_leaf:
-        return [0, 1], 0
-    layers, nodes = [], 1
-    for child in tree.children:
-        layer, count = _mary_layer(child)
-        layers.append(layer)
-        nodes += count
-    chain = layers[-1]
-    for f in reversed(layers[:-1]):
-        chain = _mul(f, _delta(chain))
-    return [0] + chain, nodes
+    def node(*layers: list[int]) -> list[int]:
+        chain = layers[-1]
+        for f in reversed(layers[:-1]):
+            chain = _mul(f, _delta(chain))
+        return [0] + chain
+
+    code = _postfix(tree, _mary_children)
+    return _fold(code, [0, 1], node), len(code) - code.count(0)
 
 
 def fuss_catalan(m: int, n: int) -> int:

@@ -23,7 +23,7 @@ from itertools import accumulate
 from math import factorial
 from operator import add
 
-from .trees import BinaryTree
+from .trees import BinaryTree, _fold, _postfix
 
 Key = tuple[int, int, int]  # (x-degree, y-degree, b-degree)
 
@@ -326,19 +326,24 @@ def _tree_layers(tree: BinaryTree, mirror: bool, bivar: bool) -> list[list[int]]
     """The tree polynomial as dense x-lists, one per b-degree: a node with
     left value f and right value g gives x * f * (g + b*delta(g)), b being 1
     unless ``bivar``; ``mirror`` swaps the children first."""
-    if not tree:
-        return [[1]]
-    left, right = (tree.right, tree.left) if mirror else (tree.left, tree.right)
-    g = _tree_layers(right, mirror, bivar)
     shift = 1 if bivar else 0
-    factor = g + [[]] * shift
-    for d, layer in enumerate(g):
-        factor[d + shift] = _add(factor[d + shift], _delta(layer))
-    if not factor[-1]:  # delta(1) = 0 leaves the top b-degree empty
-        factor.pop()
-    f = _tree_layers(left, mirror, bivar)
-    return [[0] + _cauchy(f, factor, d)
-            for d in range(len(f) + len(factor) - 1)]
+
+    def node(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
+        if mirror:
+            f, g = g, f
+        if g == [[1]]:  # delta(1) = 0, so the value is x*f
+            if f == [[1]]:  # both children empty: every leaf shares [[1]]
+                return [[0, 1]]
+            for layer in f:  # f came from this fold, used once: shift in place
+                layer.insert(0, 0)
+            return f
+        factor = g + [[]] * shift
+        for d, layer in enumerate(g):
+            factor[d + shift] = _add(factor[d + shift], _delta(layer))
+        return [[0] + _cauchy(f, factor, d)
+                for d in range(len(f) + len(factor) - 1)]
+
+    return _fold(_postfix(tree), [[1]], node)
 
 
 def _series_layers(m: int, max_degree: int) -> list[list[int]]:

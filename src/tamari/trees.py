@@ -9,6 +9,10 @@ Two text forms are supported: the literal grammar ``_`` (empty) and
 ``[L,R]`` (node), and Dyck words over ``{N, E}`` obtained by reading the
 tree in postfix order, emitting N for each empty subtree and E for each
 node, and dropping the leading N.
+
+Tree walks run on explicit stacks, most of them as folds over the tree's
+postfix code (:func:`_postfix`), so trees of any depth parse, print and
+fold.  Only the size-capped oracles and enumerators recurse.
 """
 
 from __future__ import annotations
@@ -45,21 +49,56 @@ class BinaryTree:
         return self._hash
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, BinaryTree):
             return NotImplemented
-        if self.size != other.size or self._hash != other._hash:
-            return False
-        if self.size == 0:
-            return True
-        return self.left == other.left and self.right == other.right
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a.size != b.size or a._hash != b._hash:
+                return False
+            if a.size and a is not b:
+                pairs += ((a.left, b.left), (a.right, b.right))
+        return True
 
     def __repr__(self) -> str:
         return format_tree(self)
 
 
 EMPTY = BinaryTree()
+
+
+def _children(tree: BinaryTree) -> tuple[BinaryTree, ...]:
+    return (tree.left, tree.right) if tree.size else ()
+
+
+def _postfix(root, children=_children) -> list[int]:
+    """The postfix code of the tree under ``root``: the child count of each
+    node in postorder, the children taken in the order ``children(node)``
+    lists them.  The nodes popped from an explicit stack come rightmost
+    subtree first; reversed, that is the postorder."""
+    code, stack = [], [root]
+    while stack:
+        kids = children(stack.pop())
+        code.append(len(kids))
+        stack += kids
+    code.reverse()
+    return code
+
+
+def _fold(code, leaf, combine):
+    """Fold a tree given by its postfix code: a count of 0 (a leaf or an
+    empty subtree) stands for ``leaf``, and a count k > 0 for ``combine``
+    of the values of the last k subtrees."""
+    values = []
+    for k in code:
+        if k == 2:  # binary nodes, the common case, allocate no argument list
+            right = values.pop()
+            values[-1] = combine(values[-1], right)
+        elif k:
+            values[-k:] = [combine(*values[-k:])]
+        else:
+            values.append(leaf)
+    return values[0]
 
 
 def node(left: BinaryTree, right: BinaryTree) -> BinaryTree:
@@ -93,31 +132,25 @@ def rotate_right_at(tree: BinaryTree, label: int) -> BinaryTree | None:
     """
     if not 1 <= label <= tree.size:
         raise ValueError(f"label {label} out of range 1..{tree.size}")
-
-    def go(t: BinaryTree, lo: int) -> BinaryTree | None:
-        root = lo + t.left.size
-        if label < root:
-            new_left = go(t.left, lo)
-            return None if new_left is None else BinaryTree(new_left, t.right)
-        if label > root:
-            new_right = go(t.right, root + 1)
-            return None if new_right is None else BinaryTree(t.left, new_right)
-        if not t.left:
-            return None
-        x = t.left
-        return BinaryTree(x.left, BinaryTree(x.right, t.right))
-
-    return go(tree, 1)
+    path = []  # the nodes above y, each with whether the descent went left
+    t, lo = tree, 1
+    while (root := lo + t.left.size) != label:
+        path.append((t, label < root))
+        t, lo = (t.left, lo) if label < root else (t.right, root + 1)
+    if not t.left:
+        return None
+    x = t.left
+    out = BinaryTree(x.left, BinaryTree(x.right, t.right))
+    for t, went_left in reversed(path):
+        out = BinaryTree(out, t.right) if went_left else BinaryTree(t.left, out)
+    return out
 
 
 def tamari_covers_up(tree: BinaryTree) -> list[BinaryTree]:
-    """All trees one right rotation above ``tree``, in canonical order."""
-    seen = set()
-    for label in range(1, tree.size + 1):
-        rotated = rotate_right_at(tree, label)
-        if rotated is not None:
-            seen.add(rotated)
-    return sorted(seen, key=canonical_key)
+    """All trees one right rotation above ``tree``, ordered by the label
+    rotated at; distinct labels give distinct trees."""
+    rotated = (rotate_right_at(tree, label) for label in range(1, tree.size + 1))
+    return [u for u in rotated if u is not None]
 
 
 def canonical_key(tree: BinaryTree) -> str:
@@ -150,18 +183,7 @@ def enumerate_trees(n: int) -> list[BinaryTree]:
 
 def to_dyck(tree: BinaryTree) -> str:
     """Postfix reading of the tree as a Dyck word over {N, E}."""
-    out: list[str] = []
-
-    def walk(t: BinaryTree) -> None:
-        if not t:
-            out.append("N")
-            return
-        walk(t.left)
-        walk(t.right)
-        out.append("E")
-
-    walk(tree)
-    return "".join(out[1:])
+    return "".join(["E" if k else "N" for k in _postfix(tree)][1:])
 
 
 def from_dyck(word: str) -> BinaryTree:
@@ -176,23 +198,15 @@ def from_dyck(word: str) -> BinaryTree:
             raise ValueError(f"invalid Dyck word: E-surplus at position {i}")
     if height != 0:
         raise ValueError("invalid Dyck word: unequal N and E counts")
-    # parse the postfix reading back, with the dropped leading N restored
-    stack: list[BinaryTree] = []
-    for step in "N" + word:
-        if step == "N":
-            stack.append(EMPTY)
-        else:
-            right = stack.pop()
-            left = stack.pop()
-            stack.append(BinaryTree(left, right))
-    assert len(stack) == 1
-    return stack[0]
+    return _fold(("N" + word).encode().translate(_CODES), EMPTY, BinaryTree)
+
+
+# postfix readings to child counts: N and _ are empty subtrees, E and ] nodes
+_CODES = bytes.maketrans(b"NE_]", b"\0\2\0\2")
 
 
 def format_tree(tree: BinaryTree) -> str:
-    if not tree:
-        return "_"
-    return f"[{format_tree(tree.left)},{format_tree(tree.right)}]"
+    return _fold(_postfix(tree), "_", lambda left, right: f"[{left},{right}]")
 
 
 def parse_tree(text: str) -> BinaryTree:
@@ -201,27 +215,30 @@ def parse_tree(text: str) -> BinaryTree:
     if not s:
         raise ValueError("empty tree literal")
     if s[0] in "_[":
-        tree, pos = _parse_literal(s, 0)
-        if pos != len(s):
-            raise ValueError(f"trailing characters at position {pos}")
-        return tree
+        return _parse_literal(s)
     if set(s) <= {"N", "E"}:
         return from_dyck(s)
     pos = next(i for i, c in enumerate(s) if c not in "NE")
     raise ValueError(f"unrecognized character at position {pos}: {s[pos]!r}")
 
 
-def _parse_literal(s: str, pos: int) -> tuple[BinaryTree, int]:
-    if pos >= len(s):
-        raise ValueError(f"unexpected end of literal at position {pos}")
-    if s[pos] == "_":
-        return EMPTY, pos + 1
-    if s[pos] != "[":
-        raise ValueError(f"expected '_' or '[' at position {pos}, got {s[pos]!r}")
-    left, pos = _parse_literal(s, pos + 1)
-    if pos >= len(s) or s[pos] != ",":
-        raise ValueError(f"expected ',' at position {pos}")
-    right, pos = _parse_literal(s, pos + 1)
-    if pos >= len(s) or s[pos] != "]":
-        raise ValueError(f"expected ']' at position {pos}")
-    return BinaryTree(left, right), pos + 1
+def _parse_literal(s: str) -> BinaryTree:
+    """Check ``_`` / ``[L,R]`` against a stack of what must come next: a
+    tree (None) or the separator that closes a pending node.  Then fold the
+    postfix reading, in which ``_`` is an empty subtree and ``]`` a node."""
+    expect: list[str | None] = [None]
+    for pos, c in enumerate(s):
+        if not expect:
+            raise ValueError(f"trailing characters at position {pos}")
+        wanted = expect.pop()
+        if wanted is None and c == "[":
+            expect += ("]", None, ",", None)
+        elif wanted is None and c != "_":
+            raise ValueError(f"expected '_' or '[' at position {pos}, got {c!r}")
+        elif wanted is not None and c != wanted:
+            raise ValueError(f"expected {wanted!r} at position {pos}")
+    if expect and expect[-1] is None:
+        raise ValueError(f"unexpected end of literal at position {len(s)}")
+    if expect:
+        raise ValueError(f"expected {expect[-1]!r} at position {len(s)}")
+    return _fold(s.encode().translate(_CODES, b"[,"), EMPTY, BinaryTree)

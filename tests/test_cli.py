@@ -80,6 +80,16 @@ def test_poly_mirror_and_bivar(capsys):
     assert payload["variant"] == "bivar"
 
 
+def test_poly_on_deep_combs(capsys):
+    depth = 3000
+    for argv in (["poly", "[" * depth + "_" + ",_]" * depth],
+                 ["poly", "NE" * depth],
+                 ["poly", "--mirror", "[_," * depth + "_" + "]" * depth],
+                 ["poly", "--mirror", "N" * depth + "E" * depth]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, f"x^{depth}\n", "")
+
+
 def test_poly_parse_error(capsys):
     code, _, err = run(capsys, "poly", "[_,_")
     assert code == 2 and "position" in err

@@ -77,6 +77,14 @@ def test_covers_of_empty():
     assert tamari_covers_up(EMPTY) == []
 
 
+def test_covers_are_distinct():
+    # rotations at distinct labels give distinct trees, so none is repeated
+    for n in range(8):
+        for t in enumerate_trees(n):
+            covers = tamari_covers_up(t)
+            assert len(set(covers)) == len(covers)
+
+
 def test_enumerate_trees_catalan():
     assert enumerate_trees(0) == [EMPTY]
     with pytest.raises(ValueError):
@@ -106,12 +114,15 @@ def test_from_dyck_rejects_bad_words():
     assert from_dyck("NNEENENNENEE") == parse_tree(TREE6)
     assert from_dyck("") == EMPTY
     assert from_dyck("NE") == BinaryTree(EMPTY, EMPTY)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         from_dyck("EN")
-    with pytest.raises(ValueError):
+    assert str(err.value) == "invalid Dyck word: E-surplus at position 0"
+    with pytest.raises(ValueError) as err:
         from_dyck("NNE")
-    with pytest.raises(ValueError):
+    assert str(err.value) == "invalid Dyck word: unequal N and E counts"
+    with pytest.raises(ValueError) as err:
         from_dyck("NX")
+    assert str(err.value) == "Dyck word may only contain N and E, got {'X'}"
 
 
 def test_literal_roundtrip_and_errors():
@@ -119,9 +130,23 @@ def test_literal_roundtrip_and_errors():
         for t in enumerate_trees(n):
             assert parse_tree(format_tree(t)) == t
     assert parse_tree(" [ _ , _ ] ") == BinaryTree(EMPTY, EMPTY)
-    for bad in ("", "[_,_", "[_]", "[_,_]]", "x", "[_,_]_"):
-        with pytest.raises(ValueError):
+    messages = {
+        "": "empty tree literal",
+        "[_,_": "expected ']' at position 4",
+        "[_]": "expected ',' at position 2",
+        "[_,_]]": "trailing characters at position 5",
+        "[_,_]_": "trailing characters at position 5",
+        "x": "unrecognized character at position 0: 'x'",
+        "[": "unexpected end of literal at position 1",
+        "[_,": "unexpected end of literal at position 3",
+        "[[_,_]": "expected ',' at position 6",
+        "[x": "expected '_' or '[' at position 1, got 'x'",
+        "EN": "invalid Dyck word: E-surplus at position 0",
+    }
+    for bad, message in messages.items():
+        with pytest.raises(ValueError) as err:
             parse_tree(bad)
+        assert str(err.value) == message
 
 
 def test_rotation_preserves_size_and_order():
