@@ -10,6 +10,7 @@ or an exceeded capacity cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -76,11 +77,17 @@ def cmd_count(args) -> int:
     if args.all_methods:
         counts = {method: _count_one(method, n, args)
                   for method in ("formula", "enumerate", "bruteforce", "series")}
-        agree = len(set(counts.values())) == 1
+        disagree = sorted(method for method, value in counts.items()
+                          if value != counts["formula"])
         lines = [f"{method}: {value}" for method, value in sorted(counts.items())]
-        lines.append("MATCH" if agree else "MISMATCH")
-        _emit(args, lines, {"n": n, "counts": counts, "match": agree})
-        return 0 if agree else 1
+        payload = {"n": n, "counts": counts, "match": not disagree}
+        if disagree:
+            lines.append(f"MISMATCH: {', '.join(disagree)} differ from formula")
+            payload["disagree"] = disagree
+        else:
+            lines.append("MATCH")
+        _emit(args, lines, payload)
+        return 1 if disagree else 0
     value = _count_one(args.method, n, args)
     _emit(args, [str(value)], {"n": n, "method": args.method, "count": value})
     return 0
@@ -215,7 +222,10 @@ def cmd_mtamari_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser. It is built once per process and shared by
+    every ``main`` call, so callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="tamari",
         description="Exact Tamari-lattice interval combinatorics")

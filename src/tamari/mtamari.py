@@ -230,7 +230,10 @@ def _mary_layer(tree: MAryTree) -> tuple[list[int], int]:
     def node(*layers: list[int]) -> list[int]:
         chain = layers[-1]
         for f in reversed(layers[:-1]):
-            chain = _mul(f, _delta(chain))
+            slope = _delta(chain)
+            # a unit slope (a leaf's) would only copy f; sharing f instead is
+            # safe because no layer is ever mutated in place
+            chain = f if slope == [1] else _mul(f, slope)
         return [0] + chain
 
     code = _postfix(tree, _mary_children)

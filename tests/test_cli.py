@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from tamari import cli
 from tamari.cli import main
 
 TREE6 = "[[[_,[_,_]],_],[[_,_],_]]"
@@ -135,10 +140,28 @@ def test_interval_warns_once_for_two_capped_sections(capsys):
 
 
 def test_count_all_methods_warns_once(capsys):
-    code, out, err = run(capsys, "count", "4", "--all-methods", "--max-n", "12")
-    assert code == 0 and out.splitlines()[-1] == "MATCH"
-    assert err.splitlines() == ["warning: raising capacity cap to 12; "
-                                "brute-force routes are exponential"]
+    for _ in range(2):  # the warned flag belongs to one call, not the parser
+        code, out, err = run(capsys, "count", "4", "--all-methods",
+                             "--max-n", "12")
+        assert code == 0 and out.splitlines()[-1] == "MATCH"
+        assert err.splitlines() == ["warning: raising capacity cap to 12; "
+                                    "brute-force routes are exponential"]
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_count_mismatch_names_the_disagreeing_methods(capsys, monkeypatch,
+                                                      json_flag):
+    count_one = cli._count_one
+    monkeypatch.setattr(cli, "_count_one", lambda method, n, args: count_one(
+        method, n, args) + (method == "series"))
+    code, out, _ = run(capsys, "count", "4", "--all-methods", *json_flag)
+    assert code == 1
+    if json_flag:
+        payload = json.loads(out)
+        assert payload["match"] is False and payload["disagree"] == ["series"]
+    else:
+        assert out.splitlines()[-2:] == [
+            "series: 69", "MISMATCH: series differ from formula"]
 
 
 def test_interval_incomparable(capsys):
@@ -217,10 +240,6 @@ def test_json_output_is_byte_stable(capsys):
 
 def test_output_stable_across_hash_seeds():
     # set iteration order must never leak into command output
-    import os
-    import subprocess
-    import sys
-
     def run_seeded(seed):
         env = dict(os.environ, PYTHONHASHSEED=seed)
         return subprocess.run(
@@ -228,3 +247,24 @@ def test_output_stable_across_hash_seeds():
             capture_output=True, text=True, env=env, check=True).stdout
 
     assert run_seeded("1") == run_seeded("42")
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize("argv, code, last_line", [
+    (["count", "4", "--all-methods"], 0, "MATCH"),
+    (["phi", "3"], 0, "1 + x*y + x*y^2 + 2*x^2*y^2 + 3*x*y^3 + 5*x^2*y^3"
+                      " + 5*x^3*y^3"),
+    (["count", "six"], 2, None),
+], ids=["count", "phi", "bad-input"])
+def test_python_dash_m_tamari(argv, code, last_line):
+    done = subprocess.run([sys.executable, "-m", "tamari", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    if last_line is None:
+        assert done.stdout == "" and "invalid int value" in done.stderr
+    else:
+        assert done.stdout.splitlines()[-1] == last_line

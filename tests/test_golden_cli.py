@@ -4,8 +4,13 @@
 (exit code, stdout, stderr) triple, so any change to the text or JSON a
 command prints shows up here.  After a deliberate output change, rewrite
 the file with ``PYTHONPATH=src python tests/test_golden_cli.py``.
+
+``main`` shares one argument parser across calls, so the cases are also
+replayed back to back in reverse order: state leaking from one call into
+the next through the parser would change a later transcript.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -101,6 +106,27 @@ def test_golden_file_covers_every_case():
 @pytest.mark.parametrize("argv", CASES, ids=shlex.join)
 def test_cli_transcript_matches_golden(argv):
     assert transcript_hash(argv) == json.loads(GOLDEN.read_text())[shlex.join(argv)]
+
+
+def test_transcripts_survive_a_reversed_replay_in_one_process():
+    golden = json.loads(GOLDEN.read_text())
+    for argv in reversed(CASES):
+        assert transcript_hash(argv) == golden[shlex.join(argv)], argv
+
+
+def test_main_builds_no_parser_per_call(monkeypatch):
+    transcript_hash(["count", "1"])  # the first call may build the parser
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["count", "4"], ["phi", "2", "--json"], ["count", "six"]):
+        transcript_hash(argv)
+    assert built == []
 
 
 if __name__ == "__main__":
