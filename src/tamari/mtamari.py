@@ -13,7 +13,8 @@ chained slope form to the children of every node (and x to every leaf)
 yields a counting polynomial for the path's lower set, checked here at x=1.
 
 The m-Tamari series comes from the solver in :mod:`tamari.poly`, whose m = 1
-case is Chapoton's equation for Tamari intervals.
+case is Chapoton's equation for Tamari intervals, and the path polynomials
+from its tree fold, both on polynomials in x packed into single ints.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from functools import cache
 from operator import attrgetter
 
-from .poly import (Polynomial, X, Y, _delta, _mul, _series_layers,
+from .poly import (Polynomial, X, Y, _chain_poly, _series_layers,
                    _to_polynomial, delta)
 from .trees import _fold, _postfix
 
@@ -213,31 +214,13 @@ def phi_m_series(m: int, max_degree: int) -> Polynomial:
         raise ValueError("slope parameter m must be at least 1")
     if max_degree < 0:
         raise ValueError("series order must be non-negative")
-    return _to_polynomial([[0] + layer
-                           for layer in _series_layers(m, max_degree)])
+    return _to_polynomial(*_series_layers(m, max_degree), shift=1)
 
 
 def mary_tamari_poly(tree: MAryTree) -> Polynomial:
     """Counting polynomial of a prefix-read tree: x on leaves, the chained
     slope form on each node's children in left-to-right order."""
-    layer, nodes = _mary_layer(tree)
-    return _to_polynomial([[]] * nodes + [layer])
-
-
-def _mary_layer(tree: MAryTree) -> tuple[list[int], int]:
-    """The counting polynomial as a dense x-list, and its y-degree (the
-    number of nodes)."""
-    def node(*layers: list[int]) -> list[int]:
-        chain = layers[-1]
-        for f in reversed(layers[:-1]):
-            slope = _delta(chain)
-            # a unit slope (a leaf's) would only copy f; sharing f instead is
-            # safe because no layer is ever mutated in place
-            chain = f if slope == [1] else _mul(f, slope)
-        return [0] + chain
-
-    code = _postfix(tree, _mary_children)
-    return _fold(code, [0, 1], node), len(code) - code.count(0)
+    return _chain_poly(_postfix(tree, _mary_children), mary=True)
 
 
 def fuss_catalan(m: int, n: int) -> int:

@@ -9,19 +9,17 @@ Rendering lists terms by ascending (y-degree, x-degree, b-degree); each term
 prints as ``c*x^a*y^b*b^c`` with unit coefficients and exponents elided, and
 the output parses back with :func:`parse_polynomial`.
 
-The tree polynomials and the series work on dense coefficient lists and
-convert to :class:`Polynomial` only on return.  One degree-by-degree solver
-serves both series: the m-Tamari equation for every slope m, of which
-Chapoton's equation Phi = B(Phi, Phi) + 1 is the m = 1 case.
+The tree polynomials and the series work on packed ints (see the kernels
+below) and convert to :class:`Polynomial` only on return.  One solver serves
+both series, degree by degree: the m-Tamari equation for every slope m, of
+which Chapoton's equation Phi = B(Phi, Phi) + 1 is the m = 1 case.
 """
 
 from __future__ import annotations
 
 import re
-from functools import reduce
-from itertools import accumulate
-from math import factorial
-from operator import add
+from math import comb, factorial
+from operator import mul
 
 from .trees import BinaryTree, _fold, _postfix
 
@@ -34,15 +32,13 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[Key, int] | None = None):
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    ex, ey, eb = key
-                    if ex < 0 or ey < 0 or eb < 0:
-                        raise ValueError(f"negative exponent in {key}")
-                    clean[key] = coeff
-        self._terms = clean
+        self._terms = clean = {}
+        for key, coeff in terms.items() if terms else ():
+            if coeff:
+                ex, ey, eb = key
+                if ex < 0 or ey < 0 or eb < 0:
+                    raise ValueError(f"negative exponent in {key}")
+                clean[key] = coeff
 
     @staticmethod
     def monomial(coeff: int, ex: int = 0, ey: int = 0, eb: int = 0) -> Polynomial:
@@ -67,6 +63,8 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {(0, 0, 0)}:  # equal to an int: hash as one
+            return hash(self.coefficient())
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other) -> Polynomial:
@@ -93,8 +91,6 @@ class Polynomial:
 
     def __mul__(self, other) -> Polynomial:
         if isinstance(other, int):
-            if other == 0:
-                return ZERO
             return Polynomial({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -127,8 +123,7 @@ class Polynomial:
 
     def constant(self) -> int:
         """The value of a constant polynomial."""
-        extra = [k for k in self._terms if k != (0, 0, 0)]
-        if extra:
+        if self._terms.keys() - {(0, 0, 0)}:
             raise ValueError(f"polynomial is not constant: {self}")
         return self._terms.get((0, 0, 0), 0)
 
@@ -255,50 +250,37 @@ def bilinear_B_bivar(f: Polynomial, g: Polynomial) -> Polynomial:
     return Y * X * f * (g + B * delta(g))
 
 
-# Dense kernels.  A polynomial in x is a list of its coefficients by
-# ascending degree, and a polynomial in x and one more variable is a list of
-# such lists, one per degree of that variable.  Lists carry no trailing
-# zeros when their inputs carry none.
+# Packed kernels (Kronecker substitution, arXiv:0712.4046): a polynomial in
+# x is one int with coefficient i at bits i*width.  + and * stay exact while
+# no coefficient outgrows its slot, so each fold proves a bound for them.
 
-def _add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    return [*map(add, a, b), *a[len(b):]]
+def _slot_width(bound: int) -> int:
+    """Bits per slot for coefficients up to ``bound``, a multiple of 8."""
+    return -(-bound.bit_length() // 8) * 8
 
 
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    if len(a) < len(b):
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    width = len(a)
-    for i, c in enumerate(b):
-        if c:
-            out[i:i + width] = map(add, out[i:i + width], map(c.__mul__, a))
+def _slope(packed: int, width: int) -> int:
+    """delta on a packed polynomial: slot i becomes the sum of the slots
+    above it, by shift-and-add doubling, whose partial sums stay below it."""
+    out = packed >> width
+    step = width
+    while out >> step:
+        out += out >> step
+        step <<= 1
     return out
 
 
-def _delta(a: list[int]) -> list[int]:
-    """The slope operator: coefficient i is the sum of those above i."""
-    return list(accumulate(reversed(a[1:])))[::-1]
-
-
-def _cauchy(a: list[list[int]], b: list[list[int]], n: int) -> list[int]:
-    """Degree-n layer of the product of two layered polynomials; both must
-    have a layer that contributes to it."""
-    ks = range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1)
-    return reduce(_add, (_mul(a[k], b[n - k]) for k in ks))
-
-
-def _to_polynomial(layers: list[list[int]], by_b: bool = False) -> Polynomial:
-    """The polynomial with coefficient layers[d][i] on x^i * y^d, or on
-    x^i * b^d when ``by_b``."""
+def _to_polynomial(layers: list[int], width: int, shift: int = 0,
+                   by_b: bool = False) -> Polynomial:
+    """The polynomial with slot i of layers[d] on x^(i+shift) * y^d, or on
+    x^(i+shift) * b^d when ``by_b``."""
+    size = width // 8
     terms = {}
-    for d, layer in enumerate(layers):
-        for i, coeff in enumerate(layer):
-            if coeff:
-                terms[(i, 0, d) if by_b else (i, d, 0)] = coeff
+    for d, packed in enumerate(layers):
+        data = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
+        for ex, i in enumerate(range(0, len(data), size), shift):
+            if coeff := int.from_bytes(data[i:i + size], "little"):
+                terms[(ex, 0, d) if by_b else (ex, d, 0)] = coeff
     return Polynomial(terms)
 
 
@@ -308,64 +290,99 @@ def tamari_poly(tree: BinaryTree) -> Polynomial:
     Recursion: the empty tree gives 1, and a node with subtree polynomials
     L and R gives x * L * (x*R - R(1)) / (x - 1).
     """
-    return _to_polynomial(_tree_layers(tree, mirror=False, bivar=False), by_b=True)
+    return _chain_poly(_postfix(tree))
 
 
 def tamari_poly_mirror(tree: BinaryTree) -> Polynomial:
     """Left/right-swapped recursion: counts trees above by right border."""
-    return _to_polynomial(_tree_layers(tree, mirror=True, bivar=False), by_b=True)
+    return _chain_poly(_postfix(tree, lambda t: (t.right, t.left) if t.size
+                                else ()))
 
 
 def tamari_poly_bivar(tree: BinaryTree) -> Polynomial:
     """Two-variable refinement in x and b; b marks lower-tree nodes that
     carry a right subtree.  Setting b=1 recovers :func:`tamari_poly`."""
-    return _to_polynomial(_tree_layers(tree, mirror=False, bivar=True), by_b=True)
+    return _chain_poly(_postfix(tree), bivar=True)
 
 
-def _tree_layers(tree: BinaryTree, mirror: bool, bivar: bool) -> list[list[int]]:
-    """The tree polynomial as dense x-lists, one per b-degree: a node with
-    left value f and right value g gives x * f * (g + b*delta(g)), b being 1
-    unless ``bivar``; ``mirror`` swaps the children first."""
-    shift = 1 if bivar else 0
+def _chain_poly(code: list[int], bivar: bool = False,
+                mary: bool = False) -> Polynomial:
+    """Fold the chained form x * f_1 * D(f_2 * D(... * D(f_k))) over the
+    children of each node of a postfix code, with x on each leaf, where
+    D(x*h) = h + b*delta(h) and b = 1 unless ``bivar``.  On a binary tree
+    that is x * (x*L) * D(x*R): x times the tree polynomial, which is
+    returned; with ``mary``, the value times y^(number of nodes).
 
-    def node(f: list[list[int]], g: list[list[int]]) -> list[list[int]]:
-        if mirror:
-            f, g = g, f
-        if g == [[1]]:  # delta(1) = 0, so the value is x*f
-            if f == [[1]]:  # both children empty: every leaf shares [[1]]
-                return [[0, 1]]
-            for layer in f:  # f came from this fold, used once: shift in place
-                layer.insert(0, 0)
-            return f
-        factor = g + [[]] * shift
-        for d, layer in enumerate(g):
-            factor[d + shift] = _add(factor[d + shift], _delta(layer))
-        return [[0] + _cauchy(f, factor, d)
-                for d in range(len(f) + len(factor) - 1)]
+    A power of x stays an exponent until its chain is differentiated, and
+    D(x) = 1 passes the next child on, so a comb costs one increment per
+    node.  Width: every chain c is divisible by x, so D(c)(1) >= c(1) at
+    b = 1 and values grow toward the root, whose value at x = b = 1 counts
+    the trees below (above, if mirrored) or the paths below: at most the
+    Fuss-Catalan number C((m+1)N, N) / (mN+1) for N nodes of m+1 children.
+    As D(x) = 1 and D(c)(1) <= deg(c) * c(1) <= (N+1) * c(1), it is also at
+    most (N+1)^s, s = mN less the nodes whose last child is a leaf (0, m+1).
+    """
+    nodes, arity = len(code) - code.count(0), max(code)
+    bare = bytes(code).count(bytes((0, arity))) if 1 < arity < 256 else 0
+    width = _slot_width(min(comb(arity * nodes, nodes),
+                            (nodes + 1) ** ((arity - 1) * nodes - bare)))
 
-    return _fold(_postfix(tree), [[1]], node)
+    def times_slope(lower, power, chain):  # lower * D(x^power * chain)
+        return lower * _slope(chain << power * width, width)
+
+    def times_slope_b(lower, power, chain):  # the same on lists by b-degree
+        upper = [layer << (power - 1) * width for layer in chain]
+        factor = [g + _slope(h, width) for g, h in zip(upper + [0], [0] + upper)]
+        product = [0] * (len(lower) + len(upper))
+        for i, a in enumerate(lower):
+            for j, c in enumerate(factor, i):
+                product[j] += a * c
+        return product
+
+    step = times_slope_b if bivar else times_slope
+    leaf = (1, [1] if bivar else 1)
+
+    def node(*children):
+        value = children[-1]
+        for f in children[-2::-1]:
+            if value is not leaf:  # else D(x) = 1 leaves f as the chain
+                f = f[0], step(f[1], *value)
+            value = f
+        return value[0] + 1, value[1]
+
+    power, packed = _fold(code, leaf, node)
+    if mary:
+        return _to_polynomial([0] * nodes + [packed], width, power)
+    return _to_polynomial(packed if bivar else [packed], width, power - 1,
+                          by_b=True)
 
 
-def _series_layers(m: int, max_degree: int) -> list[list[int]]:
-    """Phi_m / x through y^max_degree, as dense x-lists per y-degree.
+def _series_layers(m: int, max_degree: int) -> tuple[list[int], int]:
+    """Phi_m / x through y^max_degree, as packed x-polynomials per
+    y-degree, and their slot width.
 
     The m-Tamari series Phi_m = x + B_m(Phi_m, ..., Phi_m) becomes
     Psi = 1 + xy * Psi * S_m for Psi = Phi_m / x, because delta(x*g) =
     g + delta(g); here S_1 = Psi + delta(Psi) and S_(j+1) = Psi*S_j +
     delta(Psi*S_j).  Degree n of Psi, then of S_1..S_m, needs only lower
     degrees of Psi.  At m = 1, Psi is Chapoton's Phi.
+
+    Width: Psi_0 = 1 gives Psi_n <= S_1[n] <= ... <= S_m[n] <= Psi_(n+1) / x
+    coefficientwise, so no coefficient formed exceeds Psi_(N+1)(1), the
+    m-Tamari intervals of size N+1: C((m+1)^2 (N+1) + m, N) bounds it.
     """
-    layers = [[1]]
-    slopes = [[[1]] for _ in range(m)]  # S_1 .. S_m, each 1 at degree 0
+    width = _slot_width(comb((m + 1) ** 2 * (max_degree + 1) + m,
+                             max_degree))
+    layers = [1]
+    slopes = [[1] for _ in range(m)]  # S_1 .. S_m, each 1 at degree 0
     for n in range(1, max_degree + 1):
-        layer = [0] + _cauchy(layers, slopes[-1], n - 1)
-        layers.append(layer)
-        chain = layer
+        chain = sum(map(mul, layers, reversed(slopes[-1]))) << width
+        layers.append(chain)
         for j, slope in enumerate(slopes):
             if j:
-                chain = _cauchy(layers, slopes[j - 1], n)
-            slope.append(_add(chain, _delta(chain)))
-    return layers
+                chain = sum(map(mul, layers, reversed(slopes[j - 1])))
+            slope.append(chain + _slope(chain, width))
+    return layers, width
 
 
 def phi_series(max_degree: int) -> Polynomial:
@@ -377,7 +394,7 @@ def phi_series(max_degree: int) -> Polynomial:
     """
     if max_degree < 0:
         raise ValueError("series order must be non-negative")
-    return _to_polynomial(_series_layers(1, max_degree))
+    return _to_polynomial(*_series_layers(1, max_degree))
 
 
 def chapoton_count(n: int) -> int:

@@ -3,9 +3,9 @@
 The order oracles recompute data from the covering relation by closure,
 independently of the structured algorithms under test, and cache per size
 so exhaustive suites stay fast.  The series and tree-polynomial references
-redo on sparse polynomials what the package does on dense coefficient
-lists, and the interval-poset references redo on frozensets of (a, b)
-pairs what the package does on per-vertex successor masks.
+redo on sparse polynomials what the package does on packed integers, and
+the interval-poset references redo on frozensets of (a, b) pairs what the
+package does on per-vertex successor masks.
 """
 
 from functools import cache
@@ -67,6 +67,20 @@ def greedy_max_extension(n: int, relations) -> tuple[int, ...]:
         placed.add(v)
         word.append(v)
     return tuple(word)
+
+
+def left_comb(depth: int, base: BinaryTree = EMPTY) -> BinaryTree:
+    t = base
+    for _ in range(depth):
+        t = BinaryTree(t, EMPTY)
+    return t
+
+
+def right_comb(depth: int) -> BinaryTree:
+    t = EMPTY
+    for _ in range(depth):
+        t = BinaryTree(EMPTY, t)
+    return t
 
 
 def mirror(tree: BinaryTree) -> BinaryTree:

@@ -9,9 +9,10 @@ import sys
 
 import pytest
 
+from helpers import left_comb, right_comb
 from tamari.intervalposet import dec_forest, inc_forest, lower_tree, upper_tree
-from tamari.mtamari import (BallotPath, mary_tamari_poly, mary_to_path_prefix,
-                            path_to_mary_prefix)
+from tamari.mtamari import (LEAF, BallotPath, MAryTree, mary_tamari_poly,
+                            mary_to_path_prefix, path_to_mary_prefix)
 from tamari.poly import (Polynomial, tamari_poly, tamari_poly_bivar,
                          tamari_poly_mirror)
 from tamari.trees import (EMPTY, BinaryTree, format_tree, from_dyck,
@@ -19,20 +20,6 @@ from tamari.trees import (EMPTY, BinaryTree, format_tree, from_dyck,
 
 DEPTH = 10_000
 LEAF_NODE = BinaryTree(EMPTY, EMPTY)
-
-
-def left_comb(depth, base=EMPTY):
-    t = base
-    for _ in range(depth):
-        t = BinaryTree(t, EMPTY)
-    return t
-
-
-def right_comb(depth):
-    t = EMPTY
-    for _ in range(depth):
-        t = BinaryTree(EMPTY, t)
-    return t
 
 
 def left_literal(depth):
@@ -89,6 +76,17 @@ def test_comb_polynomials():
     assert tamari_poly_bivar(left_comb(DEPTH)).subs(b=1) == x_depth
 
 
+def test_deep_spine_below_a_right_child():
+    # one slope of x^DEPTH: dense, but with one-byte coefficients, so its
+    # slots must not be sized for the C(2n, n) bound of a general tree
+    expected = Polynomial({(i, 0, 0): 1 for i in range(1, DEPTH + 2)})
+    assert tamari_poly(BinaryTree(EMPTY, left_comb(DEPTH))) == expected
+    assert tamari_poly_mirror(BinaryTree(right_comb(DEPTH), EMPTY)) == expected
+    deep = path_to_mary_prefix(BallotPath(1, "NE" * DEPTH))
+    assert mary_tamari_poly(MAryTree((LEAF, deep))) == Polynomial(
+        {(i, DEPTH + 1, 0): 1 for i in range(2, DEPTH + 3)})
+
+
 def test_deep_ballot_path_round_trips():
     for m, word in ((1, "N" * DEPTH + "E" * DEPTH),
                     (1, "NE" * DEPTH),
@@ -101,9 +99,8 @@ def test_deep_ballot_path_round_trips():
 
 
 def test_deep_mary_polynomials():
-    # the m-ary fold is quadratic on these paths, hence 2,000 steps
-    expected = Polynomial.monomial(1, ex=2001, ey=2000)
-    for m, word in ((1, "NE" * 2000), (2, "NEE" * 2000)):
+    expected = Polynomial.monomial(1, ex=DEPTH + 1, ey=DEPTH)
+    for m, word in ((1, "NE" * DEPTH), (2, "NEE" * DEPTH)):
         assert mary_tamari_poly(path_to_mary_prefix(BallotPath(m, word))) == expected
 
 

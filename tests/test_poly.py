@@ -61,6 +61,15 @@ def test_subs_and_constant():
         p.constant()
 
 
+def test_constant_polynomials_hash_as_their_integers():
+    for value in (0, 1, 3, -7, 2 ** 100):
+        constant = Polynomial.monomial(value)
+        assert constant == value and hash(constant) == hash(value)
+        assert len({value, constant}) == 1
+    assert len({0, Polynomial()}) == 1
+    assert hash(X) == hash(poly_of("x")) and X != 1
+
+
 def test_delta():
     assert delta(poly_of("x^2")) == poly_of("1 + x")
     assert delta(ONE) == Polynomial()

@@ -238,7 +238,7 @@ def test_make_interval_keeps_its_endpoints(tree, data):
     assert upper_tree(inc_forest(tree)) == tree
 
 
-# --- dense tree polynomials against the sparse fold -----------------------
+# --- packed tree polynomials against the sparse fold ----------------------
 
 @settings(max_examples=100)
 @given(random_trees(max_size=40))
