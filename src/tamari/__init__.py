@@ -8,47 +8,15 @@ m-Tamari generalization on ballot paths, together with naive brute-force
 oracles so that every quantity can be computed along independent routes.
 """
 
-from .compose import (compose, decompose, enumerate_interval_posets,
-                      initial_interval_sum)
-from .intervalposet import (IntervalPoset, IntervalPosetError, dec_forest,
-                            inc_forest, interval_contains, intersect,
-                            is_decreasing_refinement, is_increasing_refinement,
-                            linear_extensions, lower_tree, make_interval,
-                            stat_monomial, trees_in_interval, upper_tree,
-                            validate)
-from .mtamari import (LEAF, BallotPath, MAryTree, enumerate_ballot_paths,
-                      fuss_catalan, mary_tamari_poly, mary_to_path_prefix,
-                      multilinear_Bm, parse_ballot_path, path_leq,
-                      path_rotation_covers, path_to_mary_prefix, phi_m_series)
-from .order import (CapacityError, Permutation, coinv,
-                    count_intervals_bruteforce, format_permutation,
-                    parse_permutation, sylvester_class, tamari_leq_oracle,
-                    weak_leq)
-from .poly import (Polynomial, bilinear_B, bilinear_B_bivar, chapoton_count,
-                   delta, parse_polynomial, phi_series, tamari_poly,
-                   tamari_poly_bivar, tamari_poly_mirror)
-from .trees import (EMPTY, BinaryTree, canonical_key, enumerate_trees,
-                    format_tree, from_dyck, left_border_count, node,
-                    parse_tree, right_border_count, rotate_right_at,
-                    tamari_covers_up, to_dyck)
+from .compose import compose, decompose, enumerate_interval_posets
+from .intervalposet import IntervalPoset, make_interval
+from .mtamari import BallotPath, MAryTree, mary_tamari_poly, phi_m_series
+from .poly import Polynomial, chapoton_count, delta, phi_series, tamari_poly
+from .trees import BinaryTree, parse_tree
 
 __all__ = [
-    "BallotPath", "BinaryTree", "CapacityError", "EMPTY", "IntervalPoset",
-    "IntervalPosetError", "LEAF", "MAryTree", "Permutation", "Polynomial",
-    "bilinear_B", "bilinear_B_bivar", "canonical_key", "chapoton_count",
-    "coinv", "compose", "count_intervals_bruteforce", "dec_forest",
-    "decompose", "delta", "enumerate_ballot_paths",
-    "enumerate_interval_posets", "enumerate_trees", "format_permutation",
-    "format_tree", "from_dyck", "fuss_catalan", "inc_forest",
-    "initial_interval_sum", "interval_contains", "intersect",
-    "is_decreasing_refinement", "is_increasing_refinement",
-    "left_border_count", "linear_extensions", "lower_tree",
-    "make_interval", "mary_tamari_poly", "mary_to_path_prefix",
-    "multilinear_Bm", "node", "parse_ballot_path", "parse_permutation",
-    "parse_polynomial", "parse_tree", "path_leq", "path_rotation_covers",
-    "path_to_mary_prefix", "phi_m_series", "phi_series",
-    "right_border_count", "rotate_right_at", "stat_monomial",
-    "sylvester_class", "tamari_covers_up", "tamari_leq_oracle",
-    "tamari_poly", "tamari_poly_bivar", "tamari_poly_mirror",
-    "to_dyck", "trees_in_interval", "upper_tree", "validate", "weak_leq",
+    "BallotPath", "BinaryTree", "IntervalPoset", "MAryTree", "Polynomial",
+    "chapoton_count", "compose", "decompose", "delta",
+    "enumerate_interval_posets", "make_interval", "mary_tamari_poly",
+    "parse_tree", "phi_m_series", "phi_series", "tamari_poly",
 ]

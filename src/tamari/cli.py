@@ -164,25 +164,20 @@ def _dot(name: str, labels: list[str], edges: list[tuple[int, int]]) -> list[str
 
 def cmd_lattice(args) -> int:
     n = args.n
-    if args.mtamari is not None:
-        m = args.mtamari
+    if (m := args.mtamari) is not None:
         _gate(args, n, PATH_LATTICE_CAP, "ballot path lattices are")
-        paths = mtamari.enumerate_ballot_paths(m, n)
-        index = {p: i for i, p in enumerate(paths)}
-        labels = [p.steps for p in paths]
-        edges = sorted((index[p], index[q]) for p in paths
-                       for q in mtamari.path_rotation_covers(p))
-        name = f"mtamari_{m}_{n}"
-        payload = {"kind": "ballot", "m": m, "n": n}
+        elements = mtamari.enumerate_ballot_paths(m, n)
+        covers = mtamari.path_rotation_covers
+        labels = [p.steps for p in elements]
+        name, payload = f"mtamari_{m}_{n}", {"kind": "ballot", "m": m, "n": n}
     else:
         _gate(args, n, TREE_LATTICE_CAP, "tree lattices are")
-        all_trees = trees.enumerate_trees(n)
-        index = {t: i for i, t in enumerate(all_trees)}
-        labels = [trees.format_tree(t) for t in all_trees]
-        edges = sorted((index[t], index[u]) for t in all_trees
-                       for u in trees.tamari_covers_up(t))
-        name = f"tamari_{n}"
-        payload = {"kind": "trees", "n": n}
+        elements = trees.enumerate_trees(n)
+        covers = trees.tamari_covers_up
+        labels = [trees.format_tree(t) for t in elements]
+        name, payload = f"tamari_{n}", {"kind": "trees", "n": n}
+    index = {e: i for i, e in enumerate(elements)}
+    edges = sorted((index[e], index[f]) for e in elements for f in covers(e))
     payload.update({"vertices": labels, "edges": [list(e) for e in edges]})
     _emit(args, _dot(name, labels, edges), payload)
     return 0

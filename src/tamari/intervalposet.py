@@ -9,13 +9,14 @@ axioms hold:
 
 The decreasing relations alone then form the poset of a unique binary search
 tree (the lower end of the interval) and the increasing relations that of
-another (the upper end).
+another (the upper end).  The interval [T, T'] is the union of the decreasing
+forest of T and the increasing forest of T'.
 
-A poset is stored as one successor mask per vertex: bit b-1 of ``succ[a-1]``
-is set iff a prec b.  The masks are transitively closed, so closure is a
-Warshall pass over ints and each closure axiom is one mask test per
-relation.  ``relations``, the set of (a, b) pairs, is derived from the
-masks on demand; the text format serializes the transitive reduction.
+A poset is stored as one closed successor mask per vertex: bit b-1 of
+``succ[a-1]`` is set iff a prec b.  Arbitrary relations are closed by a
+Warshall pass and checked by one mask test per relation; a union of two
+forests needs one test at each vertex's two nearest successors.  The text
+format serializes the transitive reduction.
 """
 
 from __future__ import annotations
@@ -46,6 +47,19 @@ def _labels(mask: int):
 def _span(lo: int, hi: int) -> int:
     """Mask of the labels lo..hi (empty when lo > hi)."""
     return (1 << hi) - (1 << (lo - 1)) if lo <= hi else 0
+
+
+def _through_nearest(succ, a: int) -> int:
+    """OR of the rows of a's nearest successors below and above it (the
+    largest smaller and smallest larger label in its row; 0 if none).  In
+    an interval-poset each side is a chain led by that vertex, so in a
+    closed poset these are the relations of a implied through another."""
+    row = succ[a - 1]
+    below, above = row & _span(1, a - 1), row >> a
+    implied = succ[below.bit_length() - 1] if below else 0
+    if above:
+        implied |= succ[a + (above & -above).bit_length() - 1]
+    return implied
 
 
 class IntervalPoset:
@@ -87,13 +101,8 @@ class IntervalPoset:
     def covers(self) -> list[tuple[int, int]]:
         """Transitive reduction, sorted by (a, b)."""
         succ = self.succ
-        out = []
-        for a, row in enumerate(succ, 1):
-            implied = 0
-            for c in _labels(row):
-                implied |= succ[c - 1]
-            out.extend((a, b) for b in _labels(row & ~implied))
-        return out
+        return [(a, b) for a, row in enumerate(succ, 1)
+                for b in _labels(row & ~_through_nearest(succ, a))]
 
     def to_text(self) -> str:
         header = f"n={self.n}"
@@ -215,19 +224,22 @@ def dec_forest(tree: BinaryTree) -> IntervalPoset:
 def make_interval(lower: BinaryTree, upper: BinaryTree) -> IntervalPoset | None:
     """The interval-poset of [lower, upper], or None when incomparable.
 
-    Takes the closure of dec_forest(lower) with inc_forest(upper).  By the
-    bijection between Tamari intervals and interval-posets, the closure is
-    a valid interval-poset exactly when lower <= upper, and its endpoints
-    are then lower and upper themselves, so they are not re-derived.
+    It is the union of dec_forest(lower) and inc_forest(upper), accepted
+    when each row contains those of its two nearest successors (2n mask
+    tests, :func:`_through_nearest`).  A forest row is the chain of the
+    vertex's ancestors in that forest, nearest first, so these tests make
+    the union closed.  A closed union of the forests satisfies both axioms
+    (each part is one forest) and is antisymmetric (no row holds its own
+    vertex).  By the bijection, the union is closed exactly when
+    lower <= upper, and its endpoints are then lower and upper.
     """
     if lower.size != upper.size:
         raise ValueError("trees must have the same size")
     succ = [d | i for d, i in zip(_forest_masks(lower, increasing=False),
                                   _forest_masks(upper, increasing=True))]
-    try:
-        return _close_and_check(lower.size, succ)
-    except IntervalPosetError:
+    if any(_through_nearest(succ, v) & ~row for v, row in enumerate(succ, 1)):
         return None
+    return IntervalPoset._trusted(lower.size, tuple(succ))
 
 
 def _forest_tree(poset: IntervalPoset, increasing: bool) -> BinaryTree:

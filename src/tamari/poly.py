@@ -168,7 +168,6 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-ZERO = Polynomial()
 ONE = Polynomial.monomial(1)
 X = Polynomial.monomial(1, ex=1)
 Y = Polynomial.monomial(1, ey=1)

@@ -101,10 +101,6 @@ def _fold(code, leaf, combine):
     return values[0]
 
 
-def node(left: BinaryTree, right: BinaryTree) -> BinaryTree:
-    return BinaryTree(left, right)
-
-
 def left_border_count(tree: BinaryTree) -> int:
     """Number of nodes on the leftmost spine (root, root.left, ...)."""
     count = 0

@@ -10,7 +10,9 @@ import sys
 import pytest
 
 from helpers import left_comb, right_comb
-from tamari.intervalposet import dec_forest, inc_forest, lower_tree, upper_tree
+from tamari.cli import main
+from tamari.intervalposet import (dec_forest, inc_forest, lower_tree,
+                                  make_interval, upper_tree)
 from tamari.mtamari import (LEAF, BallotPath, MAryTree, mary_tamari_poly,
                             mary_to_path_prefix, path_to_mary_prefix)
 from tamari.poly import (Polynomial, tamari_poly, tamari_poly_bivar,
@@ -108,3 +110,19 @@ def test_deep_forests_round_trip():
     for tree in (left_comb(DEPTH), right_comb(DEPTH)):
         assert lower_tree(dec_forest(tree)) == tree
         assert upper_tree(inc_forest(tree)) == tree
+
+
+def test_deep_intervals():
+    left, right = left_comb(DEPTH), right_comb(DEPTH)
+    # a left comb's increasing forest is the chain 1<2<...<n; the whole
+    # lattice, from the left comb to the right comb, relates nothing
+    chain = ",".join(f"{v}<{v + 1}" for v in range(1, DEPTH))
+    assert make_interval(left, left).to_text() == f"n={DEPTH}\n{chain}"
+    assert make_interval(left, right).to_text() == f"n={DEPTH}\n"
+    assert make_interval(right, left) is None
+
+
+def test_deep_interval_command(capsys):
+    literal = left_literal(DEPTH)
+    assert main(["interval", literal, literal]) == 0
+    assert capsys.readouterr().out.startswith(f"n={DEPTH}\n1<2,2<3,")

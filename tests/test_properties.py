@@ -3,6 +3,7 @@ rotation invariants on large trees."""
 
 from collections import defaultdict
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -222,6 +223,14 @@ def test_rotation_preserves_size_and_is_invertible(tree, data):
 
 # --- interval endpoints on trees beyond the exhaustive sizes --------------
 
+def naive_reduction(relations):
+    """The pairs of a closed relation implied through no third vertex."""
+    vertices = {v for pair in relations for v in pair}
+    return {(a, b) for a, b in relations
+            if not any((a, c) in relations and (c, b) in relations
+                       for c in vertices)}
+
+
 @settings(max_examples=100)
 @given(random_trees(max_size=40), st.data())
 def test_make_interval_keeps_its_endpoints(tree, data):
@@ -232,8 +241,15 @@ def test_make_interval_keeps_its_endpoints(tree, data):
     poset = make_interval(tree, upper)
     assert poset is not None
     assert lower_tree(poset) == tree and upper_tree(poset) == upper
+    # the nearest-successor test agrees with closing the forests' union
+    assert poset == validate(tree.size, dec_forest(tree).relations
+                             | inc_forest(upper).relations)
+    assert set(poset.covers()) == naive_reduction(poset.relations)
     if upper != tree:
         assert make_interval(upper, tree) is None
+        with pytest.raises(IntervalPosetError):
+            validate(tree.size, dec_forest(upper).relations
+                     | inc_forest(tree).relations)
     assert lower_tree(dec_forest(tree)) == tree
     assert upper_tree(inc_forest(tree)) == tree
 
