@@ -38,18 +38,16 @@ def compose(i1: IntervalPoset, i2: IntervalPoset) -> list[IntervalPoset]:
 def decompose(poset: IntervalPoset) -> tuple[IntervalPoset, IntervalPoset]:
     """The unique (I1, I2) whose composition contains ``poset``.
 
-    The split vertex is the largest k preceded by every smaller vertex; the
-    parts are the label ranges on both sides of k, the right one shifted
-    down to start at 1.
+    The split vertex k is the upper tree's root, the largest label that 1
+    precedes or is: in compose(I1, I2) all of I1 precedes k1 + 1, and no
+    vertex up to k1 + 1 precedes a larger one, so k = k1 + 1 and the root's
+    left subtree is exactly 1..k-1.  The parts are the label ranges on both
+    sides of k, the right one shifted down to start at 1.
     """
     if poset.n == 0:
         raise ValueError("cannot decompose the empty poset")
     succ = poset.succ
-    common = -1  # the successors shared by every vertex seen so far
-    for v, row in enumerate(succ, 1):
-        if common >> (v - 1) & 1:
-            k = v
-        common &= row
+    k = (succ[0] | 1).bit_length()
     low = (1 << (k - 1)) - 1
     left = tuple(row & low for row in succ[:k - 1])
     right = tuple(row >> k for row in succ[k:])
@@ -71,23 +69,27 @@ def _posets_of_size(n: int) -> tuple[IntervalPoset, ...]:
 
 
 def _canonical_key(n: int):
-    """A sort key on posets of size n that orders like sorted(p.relations).
+    """An int sort key on size-n posets that orders like sorted(p.relations).
 
-    Row a-1 of the masks sits at bits (a-1)*n.., so reading the packed bits
-    upward lists the pairs (a, b) in sorted order.  The key is that bit
-    string complemented ('0' marks a present pair) with its trailing '1's
-    stripped: at the first pair where two sorted lists differ, the list
-    holding it has '0' where the other has '1', and a list that ends first
-    gives a proper prefix of the other's string.
+    Rows bit-reversed and packed with row 1 on top put the pair (a, b) at
+    bit n*n - (a-1)*n - b of R, so reading R downward lists pairs in order.
+    So read, full ^ R ('0' marks a present pair) down to R's lowest pair
+    lb = R & -R orders like the sorted lists: where two first differ, the
+    list holding the pair reads '0', and a list that ends first reads a
+    proper prefix.  Padded with zeros, (full ^ R) & -lb keeps every other
+    comparison and ties a prefix at most; shifted above every lb, minus
+    lb, ties go to the shorter.  R = 0 gets 0, the least: no poset holds
+    (1, 1), so every other key is positive.
     """
-    full = (1 << n * n) - 1
-    width = f"0{n * n}b"
+    rev = [int(f"{row:0{n}b}"[::-1], 2) for row in range(1 << n)]
+    shift, full = n * n + 1, (1 << n * n) - 1
 
-    def key(poset: IntervalPoset) -> str:
+    def key(poset: IntervalPoset) -> int:
         packed = 0
-        for row in reversed(poset.succ):
-            packed = packed << n | row
-        return format(packed ^ full, width)[::-1].rstrip("1")
+        for row in poset.succ:
+            packed = packed << n | rev[row]
+        low = packed & -packed
+        return (((full ^ packed) & -low) << shift) - low
 
     return key
 

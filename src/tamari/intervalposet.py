@@ -21,6 +21,8 @@ format serializes the transitive reduction.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .order import (PERM_CAP, TREE_ORACLE_CAP, CapacityError, Permutation,
                     linear_extensions_of_relation, tamari_leq_oracle)
 from .poly import Polynomial
@@ -65,13 +67,12 @@ def _through_nearest(succ, a: int) -> int:
 class IntervalPoset:
     """Immutable interval-poset with transitively closed successor masks."""
 
-    __slots__ = ("n", "succ", "_hash")
+    __slots__ = ("n", "succ")
 
     def __init__(self, n: int, relations=()):
         checked = validate(n, relations)
         self.n = checked.n
         self.succ = checked.succ
-        self._hash = checked._hash
 
     @classmethod
     def _trusted(cls, n: int, succ: tuple[int, ...]) -> IntervalPoset:
@@ -79,7 +80,6 @@ class IntervalPoset:
         poset = object.__new__(cls)
         poset.n = n
         poset.succ = succ
-        poset._hash = hash((n, succ))
         return poset
 
     @property
@@ -93,10 +93,12 @@ class IntervalPoset:
                 and bool(self.succ[a - 1] >> (b - 1) & 1))
 
     def increasing_relations(self) -> set[tuple[int, int]]:
-        return {(a, b) for a, b in self.relations if a < b}
+        return {(a, b) for a, row in enumerate(self.succ, 1)
+                for b in _labels(row >> a << a)}
 
     def decreasing_relations(self) -> set[tuple[int, int]]:
-        return {(a, b) for a, b in self.relations if a > b}
+        return {(a, b) for a, row in enumerate(self.succ, 1)
+                for b in _labels(row & _span(1, a - 1))}
 
     def covers(self) -> list[tuple[int, int]]:
         """Transitive reduction, sorted by (a, b)."""
@@ -134,7 +136,7 @@ class IntervalPoset:
         return self.n == other.n and self.succ == other.succ
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.succ))
 
     def __repr__(self) -> str:
         return f"<IntervalPoset {self.to_text().replace(chr(10), ' ')}>"
@@ -301,17 +303,15 @@ def is_decreasing_refinement(base: IntervalPoset, refined: IntervalPoset) -> boo
     """All of base's relations hold in refined and every new relation is
     decreasing; equivalently the two intervals share their upper tree and
     refined's lower tree is weakly higher."""
-    return interval_contains(base, refined) and not any(
-        r & ~b & ~_span(1, v - 1)
-        for v, (b, r) in enumerate(zip(base.succ, refined.succ), 1))
+    return (interval_contains(base, refined)
+            and refined.increasing_relations() == base.increasing_relations())
 
 
 def is_increasing_refinement(base: IntervalPoset, refined: IntervalPoset) -> bool:
     """Mirror of :func:`is_decreasing_refinement`: new relations increasing,
     shared lower tree, weakly lower upper tree."""
-    return interval_contains(base, refined) and not any(
-        r & ~b & _span(1, v - 1)
-        for v, (b, r) in enumerate(zip(base.succ, refined.succ), 1))
+    return (interval_contains(base, refined)
+            and refined.decreasing_relations() == base.decreasing_relations())
 
 
 def linear_extensions(poset: IntervalPoset,
@@ -344,16 +344,23 @@ def _decreasing_roots(poset: IntervalPoset) -> list[int]:
 
 
 def decreasing_components(poset: IntervalPoset) -> int:
-    """Number of connected components of the decreasing forest, counting
-    isolated vertices; equals the lower tree's left border count."""
-    return len(_decreasing_roots(poset))
+    """Number of connected components of the decreasing forest (one per
+    root, see :func:`_decreasing_roots`); equals the lower tree's left
+    border count."""
+    return sum(not row & ((1 << i) - 1) for i, row in enumerate(poset.succ))
+
+
+_stat = cache(Polynomial.monomial)  # Polynomial is immutable: share them
 
 
 def stat_monomial(poset: IntervalPoset) -> Polynomial:
     """The statistic monomial x^(decreasing components) * y^n * b^(vertices
-    with an incoming decreasing relation)."""
-    targets = 0
-    for v, row in enumerate(poset.succ, 1):
-        targets |= row & _span(1, v - 1)
-    return Polynomial.monomial(1, ex=decreasing_components(poset),
-                               ey=poset.n, eb=targets.bit_count())
+    with an incoming decreasing relation), read in one pass over the rows."""
+    roots = targets = below = 0  # below: the labels smaller than the row's
+    for row in poset.succ:
+        if down := row & below:
+            targets |= down
+        else:
+            roots += 1
+        below = below << 1 | 1
+    return _stat(1, roots, poset.n, targets.bit_count())

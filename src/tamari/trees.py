@@ -149,6 +149,27 @@ def tamari_covers_up(tree: BinaryTree) -> list[BinaryTree]:
     return [u for u in rotated if u is not None]
 
 
+def _bracket_vector(tree: BinaryTree) -> list[int]:
+    """The size of each node's right subtree, by in-order label."""
+    sizes = [0] * tree.size
+    stack = [(tree, 0)]  # a subtree and the 0-based label of its first node
+    while stack:
+        t, lo = stack.pop()
+        if t:
+            root = lo + t.left.size
+            sizes[root] = t.right.size
+            stack += ((t.left, lo), (t.right, root + 1))
+    return sizes
+
+
+def tamari_leq(t: BinaryTree, u: BinaryTree) -> bool:
+    """t <= u in the Tamari order: the bracket vectors (right subtree
+    sizes by label) compare componentwise (Huang and Tamari, 1972)."""
+    if t.size != u.size:
+        raise ValueError("trees must have the same size")
+    return all(a <= b for a, b in zip(_bracket_vector(t), _bracket_vector(u)))
+
+
 def canonical_key(tree: BinaryTree) -> str:
     """Sort key realizing the canonical order: Dyck word with N < E."""
     return to_dyck(tree).translate(_DYCK_ORDER)

@@ -1,11 +1,12 @@
 import hashlib
+import random
 from collections import Counter
 
 import pytest
 
 from helpers import compose_sparse, decompose_sparse, tree_upsets
-from tamari.compose import (compose, decompose, enumerate_interval_posets,
-                            initial_interval_sum)
+from tamari.compose import (_canonical_key, compose, decompose,
+                            enumerate_interval_posets, initial_interval_sum)
 from tamari.intervalposet import (IntervalPoset, inc_forest, lower_tree,
                                   stat_monomial, upper_tree, validate)
 from tamari.poly import (Polynomial, bilinear_B, bilinear_B_bivar,
@@ -136,6 +137,31 @@ def test_enumeration_is_trusted_but_still_valid():
     assert keys == sorted(keys)
 
 
+def test_decompose_splits_at_the_upper_root():
+    # the split vertex is the root of the upper tree, and the parts carry
+    # its two subtrees
+    for n in range(1, 8):
+        for poset in enumerate_interval_posets(n):
+            upper = upper_tree(poset)
+            root = upper.left.size + 1  # the root's in-order label
+            i1, i2 = decompose(poset)
+            assert i1.n + 1 == root
+            assert upper_tree(i1) == upper.left
+            assert upper_tree(i2) == upper.right
+
+
+def test_canonical_key_orders_like_sorted_relations():
+    rng = random.Random(7)
+    for n in range(8):
+        posets = enumerate_interval_posets(n)
+        shuffled = posets[:]
+        rng.shuffle(shuffled)
+        ordered = sorted(shuffled, key=_canonical_key(n))
+        assert [sorted(p.relations) for p in ordered] == \
+            sorted(sorted(p.relations) for p in posets)
+        assert not ordered[0].relations
+
+
 def test_compose_matches_sparse_reference():
     for k1 in range(7):
         for k2 in range(7 - k1):
@@ -154,7 +180,8 @@ def test_decompose_matches_sparse_reference():
 
 
 # sha256 of the enumeration's text, recorded from the frozenset
-# implementation; it pins both the canonical order and covers()
+# implementation (n = 8 from the string sort key); it pins both the
+# canonical order and covers()
 ENUMERATION_TEXT_SHA256 = {
     0: "3574b3ebe35735889de217b3d8e3e3a4c10718a326c9139df0c4e6fb0e1153bd",
     1: "097fda1929fc1bf17e752cb9c639b5796651162ff2c00af5d4c82e40a155cb86",
@@ -164,6 +191,7 @@ ENUMERATION_TEXT_SHA256 = {
     5: "34676ae5cc1b879273f398bce77a3aa065dc603ac5c5752dac123ae563b01fb1",
     6: "7461e4345b80401aebd05d86066763f6aae0baa6ff421fb7731861bd001ed475",
     7: "ef6546c1eefb73d3923557c25bbfd9a5793ee0cdc951047fd115cd8fe47c94be",
+    8: "64c18f65c6d6aeb23c14ea2b13f80ceb0e59ef22c93c038529d380da62e256ea",
 }
 
 

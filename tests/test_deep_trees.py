@@ -11,6 +11,7 @@ import pytest
 
 from helpers import left_comb, right_comb
 from tamari.cli import main
+from tamari.compose import compose, decompose
 from tamari.intervalposet import (dec_forest, inc_forest, lower_tree,
                                   make_interval, upper_tree)
 from tamari.mtamari import (LEAF, BallotPath, MAryTree, mary_tamari_poly,
@@ -120,6 +121,20 @@ def test_deep_intervals():
     assert make_interval(left, left).to_text() == f"n={DEPTH}\n{chain}"
     assert make_interval(left, right).to_text() == f"n={DEPTH}\n"
     assert make_interval(right, left) is None
+
+
+def test_deep_decompose():
+    left, right = left_comb(DEPTH), right_comb(DEPTH)
+    # the whole lattice splits at the right comb's root, vertex 1
+    i1, i2 = decompose(make_interval(left, right))
+    assert i1.n == 0
+    assert i2 == make_interval(left_comb(DEPTH - 1), right_comb(DEPTH - 1))
+    # the left comb's chain splits at its top vertex, the root
+    chain = make_interval(left, left)
+    i1, i2 = decompose(chain)
+    assert i1 == make_interval(left_comb(DEPTH - 1), left_comb(DEPTH - 1))
+    assert i2.n == 0
+    assert compose(i1, i2) == [chain]
 
 
 def test_deep_interval_command(capsys):

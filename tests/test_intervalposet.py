@@ -2,7 +2,8 @@ import pytest
 
 from helpers import sylvester_classes, tree_leq_pairs, tree_upsets
 from tamari.intervalposet import (IntervalPoset, IntervalPosetError,
-                                  dec_forest, inc_forest, interval_contains,
+                                  dec_forest, decreasing_components,
+                                  inc_forest, interval_contains,
                                   intersect, is_decreasing_refinement,
                                   is_increasing_refinement, linear_extensions,
                                   lower_tree, make_interval, stat_monomial,
@@ -113,6 +114,16 @@ def test_directed_parts_are_forests():
         for poset in all_posets(n):
             assert cover_parents_unique(poset.decreasing_relations())
             assert cover_parents_unique(poset.increasing_relations())
+
+
+def test_directed_parts_split_the_relations():
+    for n in range(7):
+        for poset in all_posets(n):
+            relations = poset.relations
+            assert poset.increasing_relations() == {(a, b) for a, b in relations
+                                                    if a < b}
+            assert poset.decreasing_relations() == {(a, b) for a, b in relations
+                                                    if a > b}
 
 
 def test_prec_membership():
@@ -264,6 +275,30 @@ def test_stat_monomial():
     assert stat_monomial(i1) == parse_polynomial("x^2*y^3*b")
     assert stat_monomial(i2) == parse_polynomial("x^2*y^3*b")
     assert stat_monomial(IntervalPoset(0)) == Polynomial.monomial(1)
+
+
+def sparse_stat(poset):
+    """The statistic recounted from the relation pairs: a decreasing root
+    is a vertex with no decreasing relation out of it."""
+    decreasing = {(a, b) for a, b in poset.relations if a > b}
+    roots = poset.n - len({a for a, _ in decreasing})
+    return roots, poset.n, len({b for _, b in decreasing})
+
+
+def test_stat_monomial_matches_sparse_recount():
+    shared = {}
+    for n in range(8):
+        for poset in all_posets(n):
+            key = sparse_stat(poset)
+            mono = stat_monomial(poset)
+            assert mono == Polynomial.monomial(1, *key)
+            assert decreasing_components(poset) == key[0]
+            # equal statistics give one shared monomial
+            assert shared.setdefault(key, mono) is mono
+    with pytest.raises(ValueError):
+        Polynomial.monomial(1, ex=-1)
+    with pytest.raises(ValueError):
+        Polynomial.monomial(1, eb=-2)
 
 
 def test_stat_monomial_exponents_match_lower_tree():

@@ -6,7 +6,7 @@ from helpers import sylvester_classes, tree_upsets
 from tamari.order import (CapacityError, coinv, count_intervals_bruteforce,
                           format_permutation, parse_permutation,
                           sylvester_class, tamari_leq_oracle, weak_leq)
-from tamari.trees import enumerate_trees, parse_tree
+from tamari.trees import enumerate_trees, parse_tree, tamari_leq
 
 LEFT_COMB_4 = parse_tree("[[[[_,_],_],_],_]")
 RIGHT_COMB_4 = parse_tree("[_,[_,[_,[_,_]]]]")
@@ -71,6 +71,16 @@ def test_tamari_leq_oracle():
     pairs = sum(tamari_leq_oracle(t, u)
                 for t in enumerate_trees(3) for u in enumerate_trees(3))
     assert pairs == 13
+
+
+def test_bracket_vectors_match_oracle():
+    for n in range(7):
+        trees = enumerate_trees(n)
+        for t in trees:
+            for u in trees:
+                assert tamari_leq(t, u) == tamari_leq_oracle(t, u)
+    with pytest.raises(ValueError):
+        tamari_leq(LEFT_COMB_4, parse_tree("[_,_]"))
 
 
 def test_oracle_is_a_partial_order():

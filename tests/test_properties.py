@@ -14,7 +14,7 @@ from tamari.intervalposet import (IntervalPosetError, dec_forest, inc_forest,
 from tamari.mtamari import LEAF, MAryTree, mary_tamari_poly
 from tamari.poly import (B, ONE, Polynomial, X, delta, tamari_poly,
                          tamari_poly_bivar, tamari_poly_mirror)
-from tamari.trees import EMPTY, BinaryTree, rotate_right_at
+from tamari.trees import EMPTY, BinaryTree, rotate_right_at, tamari_leq
 
 
 # --- interval-poset axiom fuzzing -----------------------------------------
@@ -175,8 +175,8 @@ def test_chained_form_is_multilinear(m, data):
 # --- rotation invariants on random trees ----------------------------------
 
 @st.composite
-def random_trees(draw, max_size=64):
-    size = draw(st.integers(min_value=1, max_value=max_size))
+def random_trees(draw, max_size=64, min_size=1):
+    size = draw(st.integers(min_value=min_size, max_value=max_size))
 
     def build(k):
         if k == 0:
@@ -252,6 +252,19 @@ def test_make_interval_keeps_its_endpoints(tree, data):
                      | inc_forest(tree).relations)
     assert lower_tree(dec_forest(tree)) == tree
     assert upper_tree(inc_forest(tree)) == tree
+
+
+@settings(max_examples=100)
+@given(random_trees(max_size=40), st.data())
+def test_bracket_vectors_agree_with_make_interval(tree, data):
+    upper = tree
+    for _ in range(data.draw(st.integers(0, 6))):
+        label = data.draw(st.integers(1, upper.size))
+        upper = rotate_right_at(upper, label) or upper
+    other = data.draw(random_trees(min_size=tree.size, max_size=tree.size))
+    assert tamari_leq(tree, upper)
+    for t, u in ((tree, upper), (upper, tree), (tree, other), (other, tree)):
+        assert tamari_leq(t, u) == (make_interval(t, u) is not None)
 
 
 # --- packed tree polynomials against the sparse fold ----------------------
