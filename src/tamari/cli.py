@@ -61,7 +61,10 @@ def _gate(args, n: int, default: int, what: str) -> int:
 
 def _count_one(method: str, n: int, args) -> int:
     if method == "formula":
-        return poly.chapoton_count(n)
+        try:
+            return poly.chapoton_count(n)
+        except OverflowError:  # math.factorial refuses sizes past sys.maxsize
+            raise CommandError(f"n={n} is too large for the formula") from None
     if method == "enumerate":
         _gate(args, n, ENUMERATION_CAP, "enumerate is")
         return len(enumerate_interval_posets(n))

@@ -13,25 +13,30 @@ from __future__ import annotations
 
 from functools import cache
 
-from .intervalposet import IntervalPoset, _decreasing_roots
+from .intervalposet import IntervalPoset
 from .trees import BinaryTree, _fold, _postfix
 
 
 def compose(i1: IntervalPoset, i2: IntervalPoset) -> list[IntervalPoset]:
-    """All terms of the composition, ordered by absorbed-root count."""
+    """All terms of the composition, ordered by absorbed-root count.
+
+    Each decreasing component of I2 is the label range from its root (its
+    least label) to the next root minus one: v > r precedes r only if every
+    label between them does, by decreasing closure.  So each term is the
+    last one with the new vertex ORed into one more run of rows.
+    """
     k1 = i1.n
     n = k1 + i2.n + 1
     new = 1 << k1  # the new vertex k1 + 1
-    left = tuple(row | new for row in i1.succ) + (0,)
-    right = [row << (k1 + 1) for row in i2.succ]
-    out = [IntervalPoset._trusted(n, left + tuple(right))]
-    for root in _decreasing_roots(i2):
-        # hanging root below the new vertex drags its whole lower set with it
-        bit = 1 << (root - 1)
-        for w, row in enumerate(i2.succ):
-            if row & bit or w == root - 1:
-                right[w] |= new
-        out.append(IntervalPoset._trusted(n, left + tuple(right)))
+    rows = ([row | new for row in i1.succ] + [0]
+            + [row << (k1 + 1) for row in i2.succ])
+    out, below = [], 0  # below: I2's labels under the row's
+    for w, row in enumerate(i2.succ, k1 + 1):
+        if not row & below:  # a root: the rows so far are one term
+            out.append(IntervalPoset._trusted(n, tuple(rows)))
+        rows[w] |= new
+        below = below << 1 | 1
+    out.append(IntervalPoset._trusted(n, tuple(rows)))
     return out
 
 
@@ -49,8 +54,8 @@ def decompose(poset: IntervalPoset) -> tuple[IntervalPoset, IntervalPoset]:
     succ = poset.succ
     k = (succ[0] | 1).bit_length()
     low = (1 << (k - 1)) - 1
-    left = tuple(row & low for row in succ[:k - 1])
-    right = tuple(row >> k for row in succ[k:])
+    left = tuple([row & low for row in succ[:k - 1]])
+    right = tuple([row >> k for row in succ[k:]])
     return (IntervalPoset._trusted(k - 1, left),
             IntervalPoset._trusted(poset.n - k, right))
 

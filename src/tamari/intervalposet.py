@@ -332,21 +332,11 @@ def trees_in_interval(poset: IntervalPoset,
             if tamari_leq_oracle(lo, t) and tamari_leq_oracle(t, hi)]
 
 
-def _decreasing_roots(poset: IntervalPoset) -> list[int]:
-    """Roots of the decreasing forest, ascending.
-
-    Decreasing closure makes the smaller labels that a vertex precedes a
-    chain, so the decreasing relations form a forest poset.  In each
-    component the root is the only vertex that precedes no smaller label,
-    and it is also the component's minimal label.
-    """
-    return [v for v, row in enumerate(poset.succ, 1) if not row & _span(1, v - 1)]
-
-
 def decreasing_components(poset: IntervalPoset) -> int:
-    """Number of connected components of the decreasing forest (one per
-    root, see :func:`_decreasing_roots`); equals the lower tree's left
-    border count."""
+    """Number of connected components of the decreasing forest; equals the
+    lower tree's left border count.  Decreasing closure makes the smaller
+    labels a vertex precedes a chain, so each component has one root: its
+    least label, the only vertex that precedes no smaller label."""
     return sum(not row & ((1 << i) - 1) for i, row in enumerate(poset.succ))
 
 

@@ -83,22 +83,16 @@ def enumerate_ballot_paths(m: int, n: int) -> list[BallotPath]:
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
     out: list[BallotPath] = []
-    word: list[str] = []
-
-    def extend(norths: int, easts: int) -> None:
+    stack = [("", 0, 0)]  # (prefix, north steps, east steps)
+    while stack:
+        word, norths, easts = stack.pop()
         if norths == n and easts == m * n:
-            out.append(BallotPath(m, "".join(word)))
-            return
+            out.append(BallotPath(m, word))
+            continue
+        if easts < m * norths:  # pushed first, so the N branch pops first
+            stack.append((word + "E", norths, easts + 1))
         if norths < n:
-            word.append("N")
-            extend(norths + 1, easts)
-            word.pop()
-        if easts < m * norths:
-            word.append("E")
-            extend(norths, easts + 1)
-            word.pop()
-
-    extend(0, 0)
+            stack.append((word + "N", norths + 1, easts))
     return out
 
 

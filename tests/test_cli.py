@@ -57,6 +57,16 @@ def test_count_capacity(capsys):
     assert code == 0 and out.strip() == "68"
 
 
+@pytest.mark.parametrize("options", [
+    (), ("--method", "formula"), ("--method", "enumerate"),
+    ("--method", "bruteforce"), ("--method", "series"), ("--all-methods",),
+    ("--json",), ("--all-methods", "--json")])
+def test_count_huge_n_is_an_error_line(capsys, options):
+    code, out, err = run(capsys, "count", "99999999999999999999", *options)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_poly_six_node_tree(capsys):
     code, out, _ = run(capsys, "poly", TREE6)
     assert code == 0 and out.strip() == "x^3 + 2*x^4 + 2*x^5 + x^6"
@@ -204,6 +214,14 @@ def test_lattice_capacity(capsys):
     assert code == 2 and "capped" in err
     code, _, err = run(capsys, "lattice", "6", "--mtamari", "2")
     assert code == 2 and "capped" in err
+
+
+def test_ballot_commands_at_large_m(capsys):
+    # a ballot path of size 1 has m + 1 steps, beyond the recursion limit
+    code, out, _ = run(capsys, "mtamari-verify", "--m", "1500", "--n", "1")
+    assert code == 0 and out.endswith("OK 1 paths checked\n")
+    code, out, _ = run(capsys, "lattice", "1", "--mtamari", "1500")
+    assert code == 0 and f'label="N{"E" * 1500}"' in out
 
 
 def test_phi_command(capsys):

@@ -137,6 +137,15 @@ def test_deep_decompose():
     assert compose(i1, i2) == [chain]
 
 
+def test_deep_compose():
+    # the right comb's chain n<...<2<1 has one decreasing root, so two terms
+    chain = make_interval(right_comb(DEPTH - 1), right_comb(DEPTH - 1))
+    empty = make_interval(EMPTY, EMPTY)
+    first, second = compose(empty, chain)
+    assert first.succ == (0,) + tuple(row << 1 for row in chain.succ)
+    assert second == make_interval(right_comb(DEPTH), right_comb(DEPTH))
+
+
 def test_deep_interval_command(capsys):
     literal = left_literal(DEPTH)
     assert main(["interval", literal, literal]) == 0

@@ -25,8 +25,6 @@ ALLOWED = {
         "depth n; the trees are enumerated only up to the CLI caps",
     "compose._posets_of_size":
         "depth n; interval-posets are enumerated only up to ENUMERATION_CAP",
-    "mtamari.enumerate_ballot_paths.extend":
-        "depth (m+1)n, the path length; ballot lattices are capped at n=5",
     "mtamari.path_upset":
         "depth of a rotation chain, bounded by the paths of one size",
 }

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mary_poly_sparse, mirror, tree_poly_sparse, validate_sparse
+from helpers import (compose_sparse, mary_poly_sparse, mirror, tree_poly_sparse,
+                     validate_sparse)
+from tamari.compose import compose, decompose
 from tamari.intervalposet import (IntervalPosetError, dec_forest, inc_forest,
                                   lower_tree, make_interval, upper_tree,
                                   validate)
@@ -296,3 +298,31 @@ def random_mary_trees(draw, max_size=40):
 @given(random_mary_trees())
 def test_mary_tamari_poly_matches_sparse_fold(tree):
     assert mary_tamari_poly(tree) == mary_poly_sparse(tree)
+
+
+# --- incremental compose against the sparse reference ---------------------
+
+@st.composite
+def random_intervals(draw, max_size=30):
+    lower = upper = draw(random_trees(max_size=max_size, min_size=0))
+    for _ in range(draw(st.integers(0, 6)) if lower.size else 0):
+        label = draw(st.integers(1, upper.size))
+        upper = rotate_right_at(upper, label) or upper
+    return make_interval(lower, upper)
+
+
+@settings(max_examples=100)
+@given(random_intervals(), random_intervals())
+def test_compose_matches_sparse_reference_on_large_posets(i1, i2):
+    terms = compose(i1, i2)
+    assert [(t.n, t.relations) for t in terms] == compose_sparse(
+        i1.n, i1.relations, i2.n, i2.relations)
+    # each term adds the new vertex k1 + 1 below one more run of rows
+    new = 1 << i1.n
+    for before, after in zip(terms, terms[1:]):
+        changed = [w for w, (a, b) in enumerate(zip(before.succ, after.succ))
+                   if a != b]
+        assert changed == list(range(changed[0], changed[-1] + 1))
+        assert all(not before.succ[w] & new
+                   and after.succ[w] == before.succ[w] | new for w in changed)
+    assert all(decompose(t) == (i1, i2) for t in terms)
