@@ -21,6 +21,7 @@ format serializes the transitive reduction.
 
 from __future__ import annotations
 
+import re
 from functools import cache
 
 from .order import (PERM_CAP, TREE_ORACLE_CAP, CapacityError, Permutation,
@@ -113,22 +114,24 @@ class IntervalPoset:
 
     @classmethod
     def from_text(cls, text: str) -> IntervalPoset:
+        """Inverse of :meth:`to_text`; numbers are ASCII digits only."""
         lines = text.strip().splitlines()
-        if not lines or not lines[0].startswith("n="):
-            raise ValueError("poset text must start with an 'n=<int>' line")
+        header = re.fullmatch(r"n=([0-9]+)", lines[0]) if lines else None
+        if header is None:
+            raise ValueError("poset text must start with an 'n=<int>' line, "
+                             f"got {lines[0] if lines else ''!r}")
         if len(lines) > 2:
             raise ValueError("poset text takes one line of relations, "
                              f"got {len(lines) - 1}")
-        n = int(lines[0][2:])
         pairs = []
         body = lines[1].strip() if len(lines) > 1 else ""
         if body:
             for token in body.split(","):
-                a, sep, b = token.partition("<")
-                if not sep or not a.isdigit() or not b.isdigit():
+                relation = re.fullmatch(r"([0-9]+)<([0-9]+)", token)
+                if relation is None:
                     raise ValueError(f"malformed relation token {token!r}")
-                pairs.append((int(a), int(b)))
-        return cls(n, pairs)
+                pairs.append((int(relation[1]), int(relation[2])))
+        return cls(int(header[1]), pairs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalPoset):

@@ -9,6 +9,7 @@ package does on per-vertex successor masks.
 """
 
 from functools import cache
+from itertools import accumulate
 from math import comb
 
 from tamari.intervalposet import IntervalPosetError
@@ -88,6 +89,18 @@ def mirror(tree: BinaryTree) -> BinaryTree:
     if not tree:
         return EMPTY
     return BinaryTree(mirror(tree.right), mirror(tree.left))
+
+
+def random_ballot(rng, m: int, n: int) -> str:
+    """A uniform m-ballot word with n north steps, by the cycle lemma:
+    shuffle n steps of +m and mn+1 steps of -1, start just after the first
+    lowest prefix, and drop the final -1."""
+    steps = [m] * n + [-1] * (m * n + 1)
+    rng.shuffle(steps)
+    heights = list(accumulate(steps))
+    cut = heights.index(min(heights)) + 1
+    steps = steps[cut:] + steps[:cut]
+    return "".join("N" if s > 0 else "E" for s in steps[:-1])
 
 
 def phi_series_fixed_point(max_degree: int) -> Polynomial:

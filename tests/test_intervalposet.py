@@ -69,6 +69,17 @@ def test_text_format_roundtrip():
         IntervalPoset.from_text("n=3\n1<2\n2<3")
 
 
+@pytest.mark.parametrize("text", [
+    "n=1_0", "n=+2", "n= 3", "n=-1", "n=٣", "n=3\n٢<1",
+    "n=3\n1<٢", "n=3\n+3<1", "n=3\n1_2<3", "n=3\n1< 2", "n=3\n²<1",
+], ids=["underscore", "plus", "space", "minus", "arabic-indic-n",
+        "arabic-indic-left", "arabic-indic-right", "plus-relation",
+        "underscore-relation", "space-relation", "superscript"])
+def test_from_text_rejects_what_int_would_guess(text):
+    with pytest.raises(ValueError, match="'n=<int>' line|malformed relation"):
+        IntervalPoset.from_text(text)
+
+
 def test_inc_forest_ten_node_tree():
     forest = inc_forest(TREE10)
     assert forest.covers() == [(1, 5), (2, 3), (3, 5), (4, 5), (6, 7), (8, 9)]

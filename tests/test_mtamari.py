@@ -185,6 +185,18 @@ def test_mary_poly_counts_lower_paths():
                 assert value == downs[p]
 
 
+@pytest.mark.parametrize("m, top, intervals", [(2, 6, 146_916),
+                                               (3, 5, 91_881)])
+def test_path_polynomials_sum_to_the_interval_count(m, top, intervals):
+    # each path's polynomial counts the paths below it, so the sum over
+    # all paths counts the intervals, past the brute force's reach
+    for n in range(top + 1):
+        total = sum(mary_tamari_poly(path_to_mary_prefix(p)).subs(
+            x=1, y=1).constant() for p in enumerate_ballot_paths(m, n))
+        assert total == mtamari_interval_count(m, n)
+    assert total == intervals
+
+
 def test_m1_prefix_postfix_polynomials_agree_at_one():
     from tamari.poly import tamari_poly
     for n in range(6):

@@ -13,10 +13,11 @@ from tamari.compose import compose, decompose
 from tamari.intervalposet import (IntervalPosetError, dec_forest, inc_forest,
                                   lower_tree, make_interval, upper_tree,
                                   validate)
-from tamari.mtamari import LEAF, MAryTree, mary_tamari_poly
-from tamari.poly import (B, ONE, Polynomial, X, delta, tamari_poly,
-                         tamari_poly_bivar, tamari_poly_mirror)
-from tamari.trees import EMPTY, BinaryTree, rotate_right_at, tamari_leq
+from tamari.mtamari import LEAF, MAryTree, _mary_children, mary_tamari_poly
+from tamari.poly import (B, ONE, Polynomial, X, _moment_bound, delta,
+                         tamari_poly, tamari_poly_bivar, tamari_poly_mirror)
+from tamari.trees import (EMPTY, BinaryTree, _postfix, rotate_right_at,
+                          tamari_leq)
 
 
 # --- interval-poset axiom fuzzing -----------------------------------------
@@ -298,6 +299,24 @@ def random_mary_trees(draw, max_size=40):
 @given(random_mary_trees())
 def test_mary_tamari_poly_matches_sparse_fold(tree):
     assert mary_tamari_poly(tree) == mary_poly_sparse(tree)
+
+
+# --- the factorial-moment width bound against the values it bounds ------
+
+@settings(max_examples=150)
+@given(random_trees(max_size=60, min_size=0))
+def test_moment_bound_covers_the_tree_counts(tree):
+    below = tamari_poly(tree).subs(x=1).constant()
+    above = tamari_poly_mirror(tree).subs(x=1).constant()
+    assert _moment_bound(_postfix(tree)) >= below
+    assert _moment_bound(_postfix(mirror(tree))) >= above
+
+
+@settings(max_examples=150)
+@given(random_mary_trees())
+def test_moment_bound_covers_the_path_counts(tree):
+    below = mary_tamari_poly(tree).subs(x=1, y=1).constant()
+    assert _moment_bound(_postfix(tree, _mary_children)) >= below
 
 
 # --- incremental compose against the sparse reference ---------------------
