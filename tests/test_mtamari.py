@@ -190,10 +190,12 @@ def test_mary_poly_counts_lower_paths():
 def test_path_polynomials_sum_to_the_interval_count(m, top, intervals):
     # each path's polynomial counts the paths below it, so the sum over
     # all paths counts the intervals, past the brute force's reach
+    phi = phi_m_series(m, top)
     for n in range(top + 1):
         total = sum(mary_tamari_poly(path_to_mary_prefix(p)).subs(
             x=1, y=1).constant() for p in enumerate_ballot_paths(m, n))
-        assert total == mtamari_interval_count(m, n)
+        assert total == mtamari_interval_count(m, n) == \
+            phi.y_coefficient(n).subs(x=1).constant()
     assert total == intervals
 
 
