@@ -220,10 +220,16 @@ def cmd_mtamari_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser. It is built once per process and shared by
     every ``main`` call, so callers must not modify it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser,
+                        dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="tamari",
         description="Exact Tamari-lattice interval combinatorics")
@@ -289,11 +295,28 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_mtamari_verify)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_command_line(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with one parser per call.
+
+    A command line that starts with a subcommand goes to that subcommand's
+    parser alone, as the top-level parser would hand it on; anything else
+    (no words, -h, an unknown command) goes to the top-level parser."""
+    parser, subparsers = _parsers()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_command_line(sys.argv[1:] if argv is None else argv)
     args.warned = False  # _effective_cap warns once per invocation
     try:
         return args.func(args)

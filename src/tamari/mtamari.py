@@ -19,6 +19,7 @@ from its tree fold, both on polynomials in x packed into single ints.
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from operator import attrgetter
 
@@ -30,7 +31,7 @@ from .trees import _fold, _postfix
 class BallotPath:
     """Immutable m-ballot path; ``steps`` is a word over {N, E}."""
 
-    __slots__ = ("m", "steps")
+    __slots__ = ("m", "steps", "_hash")
 
     def __init__(self, m: int, steps: str):
         if m < 1:
@@ -50,6 +51,7 @@ class BallotPath:
             raise ValueError(f"expected {m} east steps per north step")
         self.m = m
         self.steps = steps
+        self._hash = hash((m, steps))
 
     @property
     def n(self) -> int:
@@ -64,7 +66,7 @@ class BallotPath:
         return self.m == other.m and self.steps == other.steps
 
     def __hash__(self) -> int:
-        return hash((self.m, self.steps))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"<BallotPath {self.to_text()}>"
@@ -73,9 +75,10 @@ class BallotPath:
 def parse_ballot_path(text: str) -> BallotPath:
     """Parse the ``m=<int>:<word>`` form."""
     head, sep, word = text.strip().partition(":")
-    if not sep or not head.startswith("m="):
+    slope = re.fullmatch(r"m=([0-9]+)", head)
+    if not sep or slope is None:
         raise ValueError(f"expected 'm=<int>:<word>', got {text!r}")
-    return BallotPath(int(head[2:]), word)
+    return BallotPath(int(slope[1]), word)
 
 
 def enumerate_ballot_paths(m: int, n: int) -> list[BallotPath]:

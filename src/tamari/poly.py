@@ -175,6 +175,7 @@ B = Polynomial.monomial(1, eb=1)
 
 
 _VARIABLES = ("x", "y", "b")
+_is_number = re.compile(r"[0-9]+").fullmatch  # ASCII digits, unlike isdecimal
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -193,12 +194,12 @@ def parse_polynomial(text: str) -> Polynomial:
         while True:
             token = tokens[pos]
             pos += 1
-            if token.isdecimal():
+            if _is_number(token):
                 coeff *= int(token)
             elif token in _VARIABLES:
                 power = 1
                 if tokens[pos] == "^":
-                    if not tokens[pos + 1].isdecimal():
+                    if not _is_number(tokens[pos + 1]):
                         raise ValueError(f"expected an exponent after '^' in "
                                          f"{text!r}")
                     power, pos = int(tokens[pos + 1]), pos + 2

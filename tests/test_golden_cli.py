@@ -8,6 +8,10 @@ the file with ``PYTHONPATH=src python tests/test_golden_cli.py``.
 ``main`` shares one argument parser across calls, so the cases are also
 replayed back to back in reverse order: state leaking from one call into
 the next through the parser would change a later transcript.
+
+``main`` hands a command line that starts with a subcommand straight to
+that subcommand's parser, so every case is also parsed both ways and
+compared with the top-level parse that argparse would do.
 """
 
 import argparse
@@ -20,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from tamari.cli import main
+from tamari.cli import _parse_command_line, build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -85,7 +89,18 @@ CASES = [
     ["mtamari-verify", "--m", "3", "--n", "4"],
     ["mtamari-verify", "--m", "2", "--n", "6"],
     ["mtamari-verify", "--m", "0", "--n", "2"],
+    ["count", "4", "--bogus"],
+    ["poly", "NE", "--mir"],
+    ["count", "4", "--method=series"],
+    ["lattice", "3", "--m", "2"],
+    ["frob"],
 ]
+
+
+PARSE_ONLY = [[], ["-h"], ["count", "-h"],
+              ["poly", "NE", "--mirror", "--json", "--max-n", "3"],
+              ["--json", "count", "4"], ["count"], ["count", "--", "4"],
+              ["phi", "3", "extra", "words"]]
 
 
 def transcript_hash(argv: list[str]) -> str:
@@ -112,6 +127,25 @@ def test_transcripts_survive_a_reversed_replay_in_one_process():
     golden = json.loads(GOLDEN.read_text())
     for argv in reversed(CASES):
         assert transcript_hash(argv) == golden[shlex.join(argv)], argv
+
+
+def parse_outcome(parse, argv: list[str]):
+    """The namespace ``parse`` returns, or its exit code, with what it
+    printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", CASES + PARSE_ONLY,
+                         ids=lambda argv: shlex.join(argv) or "(empty)")
+def test_one_parse_matches_the_top_level_parse(argv):
+    assert parse_outcome(_parse_command_line, argv) == \
+        parse_outcome(build_parser().parse_args, argv)
 
 
 def test_main_builds_no_parser_per_call(monkeypatch):

@@ -33,6 +33,20 @@ def test_path_text_roundtrip():
         parse_ballot_path("NE")
 
 
+@pytest.mark.parametrize("text", [
+    "m=٣:NEEE", "m= 3:NEEE", "m=+3:NEEE", "m=3_0:N" + "E" * 30, "m=²:NEE",
+])
+def test_parse_ballot_path_rejects_what_int_would_guess(text):
+    with pytest.raises(ValueError, match="'m=<int>:<word>'"):
+        parse_ballot_path(text)
+
+
+def test_equal_paths_hash_alike():
+    p = parse_ballot_path("m=2:NENEEE")
+    assert hash(p) == hash(BallotPath(2, "NENEEE"))
+    assert len({p, BallotPath(2, "NENEEE"), BallotPath(2, "NNEEEE")}) == 2
+
+
 def test_enumerate_ballot_paths():
     assert len(enumerate_ballot_paths(1, 3)) == 5
     assert enumerate_ballot_paths(1, 0) == [BallotPath(1, "")]

@@ -47,6 +47,9 @@ def test_polynomial_arithmetic_and_rendering():
     "1 2",
     "x^2^3",
     "xy",
+    "x^٣",      # non-ASCII digits were once read as 3
+    "٣*x",
+    "x^²",
 ])
 def test_parse_polynomial_rejects_malformed_text(text):
     with pytest.raises(ValueError):
