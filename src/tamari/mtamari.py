@@ -73,7 +73,7 @@ class BallotPath:
 
 
 def parse_ballot_path(text: str) -> BallotPath:
-    """Parse the ``m=<int>:<word>`` form."""
+    """Parse the ``m=<int>:<word>`` form; m is ASCII digits only."""
     head, sep, word = text.strip().partition(":")
     slope = re.fullmatch(r"m=([0-9]+)", head)
     if not sep or slope is None:

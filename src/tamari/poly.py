@@ -183,8 +183,9 @@ def parse_polynomial(text: str) -> Polynomial:
 
     Accepts terms separated by ``+`` or ``-``, the first one optionally
     negated; a term is ``*``-separated factors, each an integer or one of
-    x, y, b with an optional ``^<integer>``.  Whitespace between tokens is
-    ignored.  Anything else raises ValueError.
+    x, y, b with an optional ``^<integer>``, integers being runs of ASCII
+    digits.  Whitespace between tokens is ignored.  Anything else raises
+    ValueError.
     """
     tokens = re.findall(r"[0-9]+|\S", text) + [""]  # "" ends the text
     terms: dict[Key, int] = {}
