@@ -8,6 +8,7 @@ values 1..n.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from functools import cache
 
@@ -138,12 +139,11 @@ def format_permutation(p: Permutation) -> str:
 
 
 def parse_permutation(text: str) -> Permutation:
+    """Inverse of :func:`format_permutation`: a string of ASCII digits, one
+    value each, or runs of ASCII digits separated by commas."""
     s = text.strip()
-    if "," in s:
-        p = tuple(int(tok) for tok in s.split(","))
-    else:
-        if not s.isdigit():
-            raise ValueError(f"not a permutation string: {text!r}")
-        p = tuple(int(ch) for ch in s)
+    if not re.fullmatch(r"[0-9]+(,[0-9]+)*", s):
+        raise ValueError(f"not a permutation string: {text!r}")
+    p = tuple(map(int, s.split(",") if "," in s else s))
     _check_permutation(p)
     return p

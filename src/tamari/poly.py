@@ -18,7 +18,7 @@ which Chapoton's equation Phi = B(Phi, Phi) + 1 is the m = 1 case.
 from __future__ import annotations
 
 import re
-from math import comb, factorial
+from math import comb, factorial, log2
 from operator import mul
 
 from .trees import BinaryTree, _fold, _postfix
@@ -306,11 +306,15 @@ def tamari_poly_bivar(tree: BinaryTree) -> Polynomial:
     return _chain_poly(_postfix(tree), bivar=True)
 
 
-# The bit length past which _chain_poly also takes _moment_bound.  The pass
-# saves about what it costs at 200 bits (binary trees of ~100 nodes, 0.1 ms
-# each way on a 2-core x86_64 machine); from 256 bits (~130 nodes) it saves
-# more, and at 600 bits (300 nodes) it halves the fold.
-_MOMENT_PASS_BITS = 256
+# _chain_poly takes the sized fold when the bound on its values has more than
+# _SIZED_FOLD_BITS bits for each product a node forms (one per child but the
+# last), or half as many on the b-refined fold, whose products cost more: the
+# sized fold pays a fixed cost per product to narrow it.  On a 2-core x86_64
+# machine (Python 3.11) the two folds break even on random binary trees of
+# 105-110 nodes (206-216 bits), b-refined trees of 55-60 nodes (108-116
+# bits) and paths of slope 2 of about 145 nodes (400 bits); at 300 nodes the
+# sized fold takes 0.75 of the time.
+_SIZED_FOLD_BITS = 216
 
 
 def _chain_poly(code: list[int], bivar: bool = False,
@@ -329,80 +333,154 @@ def _chain_poly(code: list[int], bivar: bool = False,
     Fuss-Catalan number C((m+1)N, N) / (mN+1) for N nodes of m+1 children.
     As D(x) = 1 and D(c)(1) <= deg(c) * c(1) <= (N+1) * c(1), it is also at
     most (N+1)^s, s = mN less the nodes whose last child is a leaf (0, m+1).
-    Bounds on the degree and the first four factorial moments mu_j =
-    c^(j)(1) / j! of every chain (its Taylor coefficients at x = 1) bound
-    the root too: x has degree 1 and moments (1, 1, 0, 0); a product
-    convolves them, truncated to four; times x maps mu_j to mu_j + mu_(j-1);
-    D at b = 1 is delta, which shifts them down one place and lowers the
-    degree, the moment shifted in bounded through C(i, 4) = C(i, 3)(i-3)/4
-    as mu_4 <= floor(mu_3 (d-3) / 4) for degree d, mu_4 being an integer.
-    All coefficients are non-negative, so each rule maps upper bounds to
-    upper bounds, and the root's mu_0 bounds its value.  On random 300-node
-    trees that is about 345 bits against 596 (their counts have about 320),
-    but on the 300-node right comb it is 1,464, so the width takes the
-    smaller bound.  The moment pass is one more fold over the code, so it
-    runs only when the first bound has more than _MOMENT_PASS_BITS bits: on
-    smaller inputs it costs more than the narrower slots save.
+    All coefficients are non-negative, so that bound on the root's value
+    bounds every coefficient of every chain, and of every partial sum that
+    :func:`_slope` forms, which adds consecutive coefficients of one chain.
+    Up to _SIZED_FOLD_BITS bits it gives the one width of the whole fold;
+    past them, :func:`_sized_fold` narrows each chain's slots.
     """
     nodes, arity = len(code) - code.count(0), max(code)
     bare = bytes(code).count(bytes((0, arity))) if 1 < arity < 256 else 0
     bound = min(comb(arity * nodes, nodes),
                 (nodes + 1) ** ((arity - 1) * nodes - bare))
-    if bound.bit_length() > _MOMENT_PASS_BITS:
-        bound = min(bound, _moment_bound(code))
     width = _slot_width(bound)
+    limit = _SIZED_FOLD_BITS * max(arity - 1, 1) // (2 if bivar else 1)
+    if bound.bit_length() > limit:
+        power, packed, width = _sized_fold(code, width, bivar)[:3]
+    else:
+        step = _times_slope_b if bivar else _times_slope
+        leaf = (1, [1] if bivar else 1)
 
-    def times_slope(lower, power, chain):  # lower * D(x^power * chain)
-        return lower * _slope(chain << power * width, width)
+        def node(*children):
+            value = children[-1]
+            for f in children[-2::-1]:
+                if value is not leaf:  # else D(x) = 1 leaves f as the chain
+                    f = f[0], step(f[1], *value, width)
+                value = f
+            return value[0] + 1, value[1]
 
-    def times_slope_b(lower, power, chain):  # the same on lists by b-degree
-        upper = [layer << (power - 1) * width for layer in chain]
-        factor = [g + _slope(h, width) for g, h in zip(upper + [0], [0] + upper)]
-        product = [0] * (len(lower) + len(upper))
-        for i, a in enumerate(lower):
-            for j, c in enumerate(factor, i):
-                product[j] += a * c
-        return product
-
-    step = times_slope_b if bivar else times_slope
-    leaf = (1, [1] if bivar else 1)
-
-    def node(*children):
-        value = children[-1]
-        for f in children[-2::-1]:
-            if value is not leaf:  # else D(x) = 1 leaves f as the chain
-                f = f[0], step(f[1], *value)
-            value = f
-        return value[0] + 1, value[1]
-
-    power, packed = _fold(code, leaf, node)
+        power, packed = _fold(code, leaf, node)
     if mary:
         return _to_polynomial([0] * nodes + [packed], width, power)
     return _to_polynomial(packed if bivar else [packed], width, power - 1,
                           by_b=True)
 
 
-def _moment_bound(code: list[int]) -> int:
-    """An upper bound on the value at x = b = 1 of :func:`_chain_poly`'s
-    root, from bounds on the degree and the first four factorial moments of
-    every chain (the proof is in :func:`_chain_poly`)."""
-    leaf = (1, 1, 1, 0, 0)  # (degree, mu_0, mu_1, mu_2, mu_3)
+def _times_slope(lower: int, power: int, chain: int, width: int) -> int:
+    """lower * D(x^power * chain) on packed ints."""
+    return lower * _slope(chain << power * width, width)
+
+
+def _times_slope_b(lower: list[int], power: int, chain: list[int],
+                   width: int) -> list[int]:
+    """The same on lists of packed ints by b-degree."""
+    upper = [layer << (power - 1) * width for layer in chain]
+    factor = [g + _slope(h, width) for g, h in zip(upper + [0], [0] + upper)]
+    product = [0] * (len(lower) + len(upper))
+    for i, a in enumerate(lower):
+        for j, c in enumerate(factor, i):
+            product[j] += a * c
+    return product
+
+
+def _repack(packed: int, width: int, new_width: int) -> int:
+    """The packed polynomial moved from ``width``-bit to ``new_width``-bit
+    slots, both multiples of 8 that its coefficients fit in.  Few slots
+    move by shifts and masks; more move one byte of every slot per strided
+    slice copy, between one to_bytes and one from_bytes."""
+    count = -(-packed.bit_length() // width)
+    if count < 32:
+        mask, out = (1 << width) - 1, 0
+        for shift in range(0, count * new_width, new_width):
+            out |= (packed & mask) << shift
+            packed >>= width
+        return out
+    size, new_size = width // 8, new_width // 8
+    data = packed.to_bytes(count * size, "little")
+    out = bytearray(count * new_size)
+    for k in range(min(size, new_size)):
+        out[k::new_size] = data[k::size]
+    return int.from_bytes(out, "little")
+
+
+def _round_width(bits: int) -> int:
+    """A slot width for ``bits``-bit coefficients: a multiple of 8, and past
+    64 bits rounded up to four significant bits, so that chains of similar
+    size share a width and seldom need repacking."""
+    shift = max(bits.bit_length() - 4, 3)
+    return -(-bits >> shift) << shift
+
+
+def _sized_fold(code: list[int], root_width: int, bivar: bool) -> tuple:
+    """:func:`_chain_poly`'s fold with each chain packed at its own width.
+
+    A value is (power, packed, width, s, d, mu_0, mu_1, mu_2, mu_3): the
+    chain x^power * packed, its slot width, the nodes s of the subtrees it
+    was formed from, and bounds on its degree d and on its first four
+    factorial moments mu_j = c^(j)(1) / j! (its Taylor coefficients at
+    x = 1).  The root's value is returned.
+
+    The product P = f * D(x^p * c) of children i..k of a node is packed at
+    the smallest of three widths, each that of a bound on P(1) at b = 1.
+    All coefficients are non-negative and f(1) >= 1, D(c)(1) >= c(1), so
+    P(1) bounds every coefficient of P, of f and of x^p * c, and every
+    partial sum that :func:`_slope` forms, which adds consecutive
+    coefficients of x^p * c.  The bounds:
+
+    - the root's value (``root_width``), as values grow toward the root
+      (see :func:`_chain_poly`);
+    - mu_0 of P: x has degree 1 and moments (1, 1, 0, 0); a product
+      convolves them, truncated to four; times x maps mu_j to
+      mu_j + mu_(j-1); D at b = 1 is delta, which shifts them down one
+      place and lowers the degree, the moment shifted in bounded through
+      C(i, 4) = C(i, 3)(i-3)/4 as mu_4 <= floor(mu_3 (d-3) / 4), mu_4 being
+      an integer.  Each rule maps upper bounds to upper bounds;
+    - C(a(s+1), s+1) for arity a, where s counts the nodes below children
+      i..k: with leaves for children 1..i-1 and those children, the node
+      is the root of a tree of s + 1 nodes whose value is
+      x * x * D(x * D(... x * D(P))), at least P(1) at x = 1 because
+      D(P)(1) >= P(1), and counts the trees or paths below that tree, at
+      most C(a(s+1), s+1) < (a^a / (a-1)^(a-1))^(s+1).
+
+    mu_0 is loose on combs and the count on random trees, hence both.  An
+    operand packed at another width is repacked first; it fits, since its
+    coefficients are at most P(1).
+    """
+    arity = max(code)
+    rate = arity * log2(arity) - (arity - 1) * log2(arity - 1)  # bits/node
+    if bivar:
+        step = _times_slope_b
+
+        def repack(layers, width, new_width):
+            return [_repack(layer, width, new_width) for layer in layers]
+    else:
+        step, repack = _times_slope, _repack
+    leaf = (1, [1] if bivar else 1, 8, 0, 1, 1, 1, 0, 0)
 
     def node(*children):
         value = children[-1]
         for f in children[-2::-1]:
-            if value is not leaf:  # f * delta(value); delta(x) = 1
-                d, _, a1, a2, a3 = value
+            if value is not leaf:  # f * D(value); D(x) = 1
+                power, chain, width, s, d, _, a1, a2, a3 = value
+                p, lower, v, t, e, b0, b1, b2, b3 = f
                 a4 = a3 * (d - 3) // 4 if d > 3 else 0
-                e, b0, b1, b2, b3 = f
-                f = (e + d - 1, b0 * a1, b0 * a2 + b1 * a1,
-                     b0 * a3 + b1 * a2 + b2 * a1,
+                mu0, s = b0 * a1, s + t
+                # one bit more than the count needs absorbs float rounding
+                bits = min(mu0.bit_length(), int((s + 1) * rate) + 2)
+                w = min(_round_width(bits), root_width)
+                if width != w:
+                    chain = repack(chain, width, w)
+                if v != w:
+                    lower = repack(lower, v, w)
+                f = (p, step(lower, power, chain, w), w, s, e + d - 1, mu0,
+                     b0 * a2 + b1 * a1, b0 * a3 + b1 * a2 + b2 * a1,
                      b0 * a4 + b1 * a3 + b2 * a2 + b3 * a1)
             value = f
-        d, a0, a1, a2, a3 = value
-        return d + 1, a0, a1 + a0, a2 + a1, a3 + a2
+        power, chain, width, s, d, a0, a1, a2, a3 = value
+        return (power + 1, chain, width, s + 1, d + 1, a0, a1 + a0, a2 + a1,
+                a3 + a2)
 
-    return _fold(code, leaf, node)[1]
+    return _fold(code, leaf, node)
 
 
 def _series_layers(m: int, max_degree: int) -> tuple[list[int], int]:

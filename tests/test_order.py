@@ -111,3 +111,7 @@ def test_permutation_strings():
         parse_permutation("1224")
     with pytest.raises(ValueError):
         parse_permutation("12a")
+    # ASCII digit runs only, where str.isdigit and int() would guess
+    for text in ("\u066312", "1, 2,3", "+1,2", "\u00b21"):
+        with pytest.raises(ValueError, match="not a permutation string"):
+            parse_permutation(text)

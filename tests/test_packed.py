@@ -4,15 +4,16 @@ Every fold packs coefficients into slots whose width comes from a bound on
 the largest coefficient it can form.  The inputs here reach those bounds:
 the top of each lattice has every element below it, so its polynomial's
 coefficients sum to the whole lattice, and the series is checked at its top
-degree, next to the one its width is computed for.  Random trees and paths
-large enough for the factorial-moment bound check its narrower slots.
+degree, next to the one its width is computed for.  Random trees, combs,
+caterpillars and paths on both sides of the sized fold's threshold check
+its narrower slots.
 """
 
 import random
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (left_comb, mary_poly_sparse, mirror,
@@ -21,10 +22,10 @@ from helpers import (left_comb, mary_poly_sparse, mirror,
 from tamari import poly
 from tamari.mtamari import (BallotPath, fuss_catalan, mary_tamari_poly,
                             path_to_mary_prefix, phi_m_series)
-from tamari.poly import (B, Polynomial, _slope, _slot_width, _to_polynomial,
-                         delta, tamari_poly, tamari_poly_bivar,
-                         tamari_poly_mirror)
-from tamari.trees import from_dyck
+from tamari.poly import (B, Polynomial, _repack, _slope, _slot_width,
+                         _to_polynomial, delta, tamari_poly,
+                         tamari_poly_bivar, tamari_poly_mirror)
+from tamari.trees import BinaryTree, from_dyck
 
 
 def catalan(n):
@@ -69,46 +70,122 @@ def test_phi_m_series_top_degree(m):
 
 
 @pytest.fixture
-def moment_passes(monkeypatch):
-    """The sizes of the codes the factorial-moment bound is taken for."""
-    sizes, bound = [], poly._moment_bound
+def sized_folds(monkeypatch):
+    """The sizes of the codes that take the sized fold."""
+    sizes, fold = [], poly._sized_fold
 
-    def spy(code):
+    def spy(code, root_width, bivar):
         sizes.append(len(code))
-        return bound(code)
+        return fold(code, root_width, bivar)
 
-    monkeypatch.setattr(poly, "_moment_bound", spy)
+    monkeypatch.setattr(poly, "_sized_fold", spy)
     return sizes
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_large_tree_polynomials(seed, moment_passes):
+def test_large_tree_polynomials(seed, sized_folds):
     rng = random.Random(seed)
     tree = from_dyck(random_ballot(rng, 1, rng.randint(200, 400)))
     assert tamari_poly(tree) == tree_poly_sparse(tree)
     assert tamari_poly_mirror(tree) == tree_poly_sparse(mirror(tree))
-    assert moment_passes == [2 * tree.size + 1] * 2
+    assert sized_folds == [2 * tree.size + 1] * 2
 
 
-def test_large_bivar_polynomial(moment_passes):
-    tree = from_dyck(random_ballot(random.Random(7), 1, 140))
+@pytest.mark.parametrize("n", [70, 140])
+def test_large_bivar_polynomial(n, sized_folds):
+    tree = from_dyck(random_ballot(random.Random(7), 1, n))
     assert tamari_poly_bivar(tree) == tree_poly_sparse(tree, weight=B)
-    assert moment_passes == [281]
+    assert tamari_poly(tree) == tree_poly_sparse(tree)
+    # the b-refined fold switches at half the bits: at 70 nodes only it does
+    assert sized_folds == [2 * n + 1] * (2 if n == 140 else 1)
 
 
-def test_large_path_polynomial(moment_passes):
-    path = BallotPath(2, random_ballot(random.Random(2), 2, 150))
+@pytest.mark.parametrize("m, n, sized", [(2, 150, False), (2, 200, True),
+                                         (3, 190, False), (3, 240, True)])
+def test_large_path_polynomial(m, n, sized, sized_folds):
+    path = BallotPath(m, random_ballot(random.Random(2), m, n))
     tree = path_to_mary_prefix(path)
     assert mary_tamari_poly(tree) == mary_poly_sparse(tree)
-    assert moment_passes == [451]
+    assert sized_folds == ([(m + 1) * n + 1] if sized else [])
 
 
-def test_small_trees_skip_the_moment_pass(moment_passes):
-    for n in (0, 1, 14, 60):
+def test_small_trees_skip_the_sized_fold(sized_folds):
+    for n in (0, 1, 14, 60, 100):
         tree = from_dyck(random_ballot(random.Random(n), 1, n))
         assert tamari_poly(tree) == tree_poly_sparse(tree)
+    for n in (14, 45):
+        tree = from_dyck(random_ballot(random.Random(n), 1, n))
+        assert tamari_poly_bivar(tree) == tree_poly_sparse(tree, weight=B)
     assert tamari_poly(left_comb(1000)) == Polynomial.monomial(1, ex=1000)
-    assert moment_passes == []
+    assert tamari_poly_mirror(right_comb(1000)) == \
+        Polynomial.monomial(1, ex=1000)
+    assert tamari_poly(right_comb(100)) == tree_poly_sparse(right_comb(100))
+    assert sized_folds == []
+
+
+# --- the sized fold against the sparse folds, on both sides of the threshold
+
+def caterpillar(rng, n):
+    """A spine of nodes, each turning left or right at random, with a leaf
+    node or nothing on its other side."""
+    tree, size = BinaryTree(), 0
+    while size < n:
+        leg = BinaryTree(BinaryTree(), BinaryTree()) \
+            if size + 2 <= n and rng.random() < 0.5 else BinaryTree()
+        pair = (tree, leg) if rng.random() < 0.5 else (leg, tree)
+        tree, size = BinaryTree(*pair), size + 1 + leg.size
+    return tree
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(60, 400), st.randoms(use_true_random=False))
+@example(80, random.Random(1)).via("below the threshold")
+@example(300, random.Random(1)).via("above it")
+def test_sized_fold_on_random_trees(n, rng):
+    tree = from_dyck(random_ballot(rng, 1, n))
+    plain, above = tamari_poly(tree), tamari_poly_mirror(tree)
+    assert plain == tree_poly_sparse(tree)
+    assert above == tree_poly_sparse(mirror(tree))
+    for value in (plain, above):
+        assert 1 <= value.subs(x=1).constant() <= catalan(n)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(80, 200), st.randoms(use_true_random=False))
+def test_sized_fold_on_combs_and_caterpillars(n, rng):
+    top = right_comb(n)
+    assert tamari_poly(top) == tree_poly_sparse(top)
+    assert tamari_poly(top).subs(x=1).constant() == catalan(n)
+    assert tamari_poly_mirror(mirror(top)).subs(x=1).constant() == catalan(n)
+    tree = caterpillar(rng, n)
+    assert tree.size == n
+    plain, above = tamari_poly(tree), tamari_poly_mirror(tree)
+    assert plain == tree_poly_sparse(tree)
+    assert above == tree_poly_sparse(mirror(tree))
+    for value in (plain, above):
+        assert 1 <= value.subs(x=1).constant() <= catalan(n)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([(2, 120, 220), (3, 150, 260)]),
+       st.randoms(use_true_random=False), st.data())
+def test_sized_fold_on_paths(sizes, rng, data):
+    m, low, high = sizes
+    n = data.draw(st.integers(low, high))
+    tree = path_to_mary_prefix(BallotPath(m, random_ballot(rng, m, n)))
+    value = mary_tamari_poly(tree)
+    assert value == mary_poly_sparse(tree)
+    assert 1 <= value.subs(x=1, y=1).constant() <= fuss_catalan(m, n)
+
+
+@given(st.integers(1, 64), st.integers(1, 64), st.data())
+def test_repack_moves_every_slot(size, new_size, data):
+    width, new_width = 8 * size, 8 * new_size
+    top = 2 ** min(width, new_width) - 1
+    coeffs = data.draw(st.lists(st.integers(0, top), max_size=80))
+    packed = _repack(pack(coeffs, width), width, new_width)
+    assert packed == pack(coeffs, new_width)
+    assert _to_polynomial([packed], new_width) == sparse(coeffs)
 
 
 @given(st.lists(st.integers(0, 2 ** 70), max_size=40))

@@ -14,8 +14,9 @@ from tamari.intervalposet import (IntervalPosetError, dec_forest, inc_forest,
                                   lower_tree, make_interval, upper_tree,
                                   validate)
 from tamari.mtamari import LEAF, MAryTree, _mary_children, mary_tamari_poly
-from tamari.poly import (B, ONE, Polynomial, X, _moment_bound, delta,
-                         tamari_poly, tamari_poly_bivar, tamari_poly_mirror)
+from tamari.poly import (B, ONE, Polynomial, X, _sized_fold, _to_polynomial,
+                         delta, tamari_poly, tamari_poly_bivar,
+                         tamari_poly_mirror)
 from tamari.trees import (EMPTY, BinaryTree, _postfix, rotate_right_at,
                           tamari_leq)
 
@@ -301,22 +302,38 @@ def test_mary_tamari_poly_matches_sparse_fold(tree):
     assert mary_tamari_poly(tree) == mary_poly_sparse(tree)
 
 
-# --- the factorial-moment width bound against the values it bounds ------
+# --- the sized fold below its threshold: the same values, and moments that
+# bound them -----------------------------------------------------------------
+
+def sized_fold(code):
+    """The root's value in the sized fold of a code of any size, as a
+    polynomial, and its mu_0 bound."""
+    power, packed, width, _, _, mu0, *_ = _sized_fold(code, 2 ** 16, False)
+    return _to_polynomial([packed], width, power), mu0
+
 
 @settings(max_examples=150)
 @given(random_trees(max_size=60, min_size=0))
 def test_moment_bound_covers_the_tree_counts(tree):
-    below = tamari_poly(tree).subs(x=1).constant()
-    above = tamari_poly_mirror(tree).subs(x=1).constant()
-    assert _moment_bound(_postfix(tree)) >= below
-    assert _moment_bound(_postfix(mirror(tree))) >= above
+    below, above = tamari_poly(tree), tamari_poly_mirror(tree)
+    if tree.size:
+        for code, value in ((_postfix(tree), below),
+                            (_postfix(mirror(tree)), above)):
+            polynomial, bound = sized_fold(code)
+            assert polynomial == X * value
+            assert bound >= value.subs(x=1).constant()
 
 
 @settings(max_examples=150)
 @given(random_mary_trees())
 def test_moment_bound_covers_the_path_counts(tree):
-    below = mary_tamari_poly(tree).subs(x=1, y=1).constant()
-    assert _moment_bound(_postfix(tree, _mary_children)) >= below
+    below = mary_tamari_poly(tree)
+    if not tree.is_leaf:
+        code = _postfix(tree, _mary_children)
+        polynomial, bound = sized_fold(code)
+        nodes = len(code) - code.count(0)
+        assert polynomial * Polynomial.monomial(1, ey=nodes) == below
+        assert bound >= below.subs(x=1, y=1).constant()
 
 
 # --- incremental compose against the sparse reference ---------------------
