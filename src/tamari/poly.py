@@ -308,12 +308,13 @@ def tamari_poly_bivar(tree: BinaryTree) -> Polynomial:
 
 # _chain_poly takes the sized fold when the bound on its values has more than
 # _SIZED_FOLD_BITS bits for each product a node forms (one per child but the
-# last), or half as many on the b-refined fold, whose products cost more: the
+# last), or half that on the b-refined fold, whose products cost more: the
 # sized fold pays a fixed cost per product to narrow it.  On a 2-core x86_64
 # machine (Python 3.11) the two folds break even on random binary trees of
 # 105-110 nodes (206-216 bits), b-refined trees of 55-60 nodes (108-116
-# bits) and paths of slope 2 of about 145 nodes (400 bits); at 300 nodes the
-# sized fold takes 0.75 of the time.
+# bits) and paths of slope 2 of about 145 nodes (400 bits); on random
+# 300-node trees the sized fold takes about 0.75 of the time of one width
+# from the root's factorial moments.
 _SIZED_FOLD_BITS = 216
 
 
@@ -437,10 +438,10 @@ def _sized_fold(code: list[int], root_width: int, bivar: bool) -> tuple:
       an integer.  Each rule maps upper bounds to upper bounds;
     - C(a(s+1), s+1) for arity a, where s counts the nodes below children
       i..k: with leaves for children 1..i-1 and those children, the node
-      is the root of a tree of s + 1 nodes whose value is
-      x * x * D(x * D(... x * D(P))), at least P(1) at x = 1 because
-      D(P)(1) >= P(1), and counts the trees or paths below that tree, at
-      most C(a(s+1), s+1) < (a^a / (a-1)^(a-1))^(s+1).
+      is the root of a tree of s + 1 nodes.  Its value x * c_1, where
+      c_i = P and c_j = x * D(c_(j+1)), is at least P(1) at x = 1, as
+      D(c)(1) >= c(1); and it counts the trees or paths below that tree,
+      at most C(a(s+1), s+1) < (a^a / (a-1)^(a-1))^(s+1).
 
     mu_0 is loose on combs and the count on random trees, hence both.  An
     operand packed at another width is repacked first; it fits, since its
