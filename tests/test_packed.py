@@ -166,6 +166,21 @@ def test_sized_fold_on_combs_and_caterpillars(n, rng):
         assert 1 <= value.subs(x=1).constant() <= catalan(n)
 
 
+@settings(max_examples=4, deadline=None)
+@given(st.integers(60, 100), st.randoms(use_true_random=False))
+@example(60, random.Random(1)).via("the smallest sized b-refined comb")
+def test_sized_fold_on_bivar_combs_and_caterpillars(n, rng):
+    # all of these take the sized fold; on the combs the count bound, not
+    # mu_0, gives most chains their width.  Smaller than the plain sizes,
+    # as the sparse b-refined fold takes seconds on a 100-node comb.
+    top, tree = right_comb(n), caterpillar(rng, n)
+    assert tamari_poly_bivar(top) == tree_poly_sparse(top, weight=B)
+    assert tamari_poly_bivar(top).subs(x=1, b=1).constant() == catalan(n)
+    value = tamari_poly_bivar(tree)
+    assert value == tree_poly_sparse(tree, weight=B)
+    assert 1 <= value.subs(x=1, b=1).constant() <= catalan(n)
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.sampled_from([(2, 120, 220), (3, 150, 260)]),
        st.randoms(use_true_random=False), st.data())

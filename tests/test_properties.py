@@ -316,24 +316,22 @@ def sized_fold(code):
 @given(random_trees(max_size=60, min_size=0))
 def test_moment_bound_covers_the_tree_counts(tree):
     below, above = tamari_poly(tree), tamari_poly_mirror(tree)
-    if tree.size:
-        for code, value in ((_postfix(tree), below),
-                            (_postfix(mirror(tree)), above)):
-            polynomial, bound = sized_fold(code)
-            assert polynomial == X * value
-            assert bound >= value.subs(x=1).constant()
+    for code, value in ((_postfix(tree), below),
+                        (_postfix(mirror(tree)), above)):
+        polynomial, bound = sized_fold(code)
+        assert polynomial == X * value
+        assert bound >= value.subs(x=1).constant()
 
 
 @settings(max_examples=150)
 @given(random_mary_trees())
 def test_moment_bound_covers_the_path_counts(tree):
     below = mary_tamari_poly(tree)
-    if not tree.is_leaf:
-        code = _postfix(tree, _mary_children)
-        polynomial, bound = sized_fold(code)
-        nodes = len(code) - code.count(0)
-        assert polynomial * Polynomial.monomial(1, ey=nodes) == below
-        assert bound >= below.subs(x=1, y=1).constant()
+    code = _postfix(tree, _mary_children)
+    polynomial, bound = sized_fold(code)
+    nodes = len(code) - code.count(0)
+    assert polynomial * Polynomial.monomial(1, ey=nodes) == below
+    assert bound >= below.subs(x=1, y=1).constant()
 
 
 # --- incremental compose against the sparse reference ---------------------
