@@ -75,6 +75,18 @@ def _count_one(method: str, n: int, args) -> int:
     return poly.phi_series(n).y_coefficient(n).subs(x=1).constant()
 
 
+def _count_text(n: int, value: int) -> str:
+    """``str(value)``; a count past the interpreter's limit on converting
+    integers to text (which every caller in the process shares) is an
+    error that names n and the limit."""
+    try:
+        return str(value)
+    except ValueError:
+        raise CommandError(
+            f"the count for n={n} has more than {sys.get_int_max_str_digits()}"
+            " digits, the limit for converting an integer to text") from None
+
+
 def cmd_count(args) -> int:
     n = args.n
     if args.all_methods:
@@ -82,7 +94,8 @@ def cmd_count(args) -> int:
                   for method in ("formula", "enumerate", "bruteforce", "series")}
         disagree = sorted(method for method, value in counts.items()
                           if value != counts["formula"])
-        lines = [f"{method}: {value}" for method, value in sorted(counts.items())]
+        lines = [f"{method}: {_count_text(n, value)}"
+                 for method, value in sorted(counts.items())]
         payload = {"n": n, "counts": counts, "match": not disagree}
         if disagree:
             lines.append(f"MISMATCH: {', '.join(disagree)} differ from formula")
@@ -92,7 +105,8 @@ def cmd_count(args) -> int:
         _emit(args, lines, payload)
         return 1 if disagree else 0
     value = _count_one(args.method, n, args)
-    _emit(args, [str(value)], {"n": n, "method": args.method, "count": value})
+    _emit(args, [_count_text(n, value)],
+          {"n": n, "method": args.method, "count": value})
     return 0
 
 
@@ -298,16 +312,86 @@ def _parsers() -> tuple[argparse.ArgumentParser,
     return parser, sub.choices
 
 
-def _parse_command_line(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with one parser per call.
+@functools.cache
+def _grammars() -> dict[str, tuple]:
+    """What :func:`_exact_parse` reads from each subcommand parser: its
+    defaults, its options by exact option string, its positionals, its
+    required options and its mutually exclusive groups.  It models the
+    actions these parsers use besides help: stores of one word and
+    store_true flags, in groups that are not required."""
+    grammars = {}
+    for name, sub in _parsers()[1].items():
+        actions = [a for a in sub._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        grammars[name] = (
+            {a.dest: a.default for a in actions} | sub._defaults,
+            {s: a for a in actions for s in a.option_strings},
+            [a for a in actions if not a.option_strings],
+            [a for a in actions if a.option_strings and a.required],
+            [g._group_actions for g in sub._mutually_exclusive_groups])
+    return grammars
 
-    A command line that starts with a subcommand goes to that subcommand's
-    parser alone, as the top-level parser would hand it on; anything else
-    (no words, -h, an unknown command) goes to the top-level parser."""
+
+def _exact_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse builds for a well-formed subcommand line, or
+    None for any line this pass does not model: an option string that is
+    not exact (help, abbreviations, ``--opt=value``, ``--``, any other word
+    starting with ``-``), an option given twice, an option value starting
+    with ``-``, missing or extra positionals, a missing required option, a
+    group conflict, or a value its ``type`` or ``choices`` refuse."""
+    defaults, options, positionals, required, groups = _grammars()[argv[0]]
+    given, words = {}, []
+    rest = iter(argv[1:])
+    for word in rest:
+        if word[:1] != "-":
+            words.append(word)
+        elif (action := options.get(word)) is None or action in given:
+            return None
+        elif action.nargs == 0:
+            given[action] = None
+        elif (value := next(rest, "-"))[:1] == "-":
+            return None
+        else:
+            given[action] = value
+    if len(words) != len(positionals) or \
+            any(a not in given for a in required) or \
+            any(sum(a in given for a in group) > 1 for group in groups):
+        return None
+    given.update(zip(positionals, words))
+    args = argparse.Namespace()
+    vars(args).update(defaults)
+    for action, word in given.items():
+        if word is None:
+            value = action.const
+        else:
+            try:
+                value = word if action.type is None else action.type(word)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        setattr(args, action.dest, value)
+    args.command = argv[0]
+    return args
+
+
+def _parse_command_line(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with at most one parse per call.
+
+    A well-formed subcommand line, one that :func:`_exact_parse` models,
+    becomes its namespace in one pass over the words, with no argparse
+    parse.  Any other line that starts with a subcommand goes to that
+    subcommand's parser alone, as the top-level parser would hand it on;
+    anything else (no words, -h, an unknown command) goes to the top-level
+    parser.  So every usage line, help text and error message comes from
+    argparse."""
     parser, subparsers = _parsers()
     sub = subparsers.get(argv[0]) if argv else None
     if sub is None:
         return parser.parse_args(argv)
+    args = _exact_parse(argv)
+    if args is not None:
+        return args
     args, extras = sub.parse_known_args(argv[1:])
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")

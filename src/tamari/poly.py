@@ -341,9 +341,7 @@ def _chain_poly(code: list[int], bivar: bool = False,
     past them, :func:`_sized_fold` narrows each chain's slots.
     """
     nodes, arity = len(code) - code.count(0), max(code)
-    bare = bytes(code).count(bytes((0, arity))) if 1 < arity < 256 else 0
-    bound = min(comb(arity * nodes, nodes),
-                (nodes + 1) ** ((arity - 1) * nodes - bare))
+    bound = _root_bound(code, nodes, arity)
     width = _slot_width(bound)
     limit = _SIZED_FOLD_BITS * max(arity - 1, 1) // (2 if bivar else 1)
     if bound.bit_length() > limit:
@@ -365,6 +363,17 @@ def _chain_poly(code: list[int], bivar: bool = False,
         return _to_polynomial([0] * nodes + [packed], width, power)
     return _to_polynomial(packed if bivar else [packed], width, power - 1,
                           by_b=True)
+
+
+def _root_bound(code: list[int], nodes: int, arity: int) -> int:
+    """min(C(aN, N), (N+1)^s) for :func:`_chain_poly`'s code of N nodes of
+    arity a, the binomial taken only when it can be the smaller: a power
+    below 2^N is below C(aN, N) >= 2^N for a >= 2, and both are 1 for a < 2."""
+    bare = bytes(code).count(bytes((0, arity))) if 1 < arity < 256 else 0
+    bound = (nodes + 1) ** ((arity - 1) * nodes - bare)
+    if bound.bit_length() > nodes:
+        bound = min(bound, comb(arity * nodes, nodes))
+    return bound
 
 
 def _times_slope(lower: int, power: int, chain: int, width: int) -> int:

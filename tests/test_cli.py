@@ -67,6 +67,17 @@ def test_count_huge_n_is_an_error_line(capsys, options):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("options", [(), ("--json",)], ids=["text", "json"])
+def test_count_past_the_int_to_text_limit_is_an_error_line(capsys, options):
+    # 5000 gives a 4,875-digit count; the limit stays the process's own
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "count", "5000", *options)
+    assert (code, out) == (2, "")
+    assert err == (f"error: the count for n=5000 has more than {limit} "
+                   "digits, the limit for converting an integer to text\n")
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_poly_six_node_tree(capsys):
     code, out, _ = run(capsys, "poly", TREE6)
     assert code == 0 and out.strip() == "x^3 + 2*x^4 + 2*x^5 + x^6"

@@ -9,9 +9,11 @@ the file with ``PYTHONPATH=src python tests/test_golden_cli.py``.
 replayed back to back in reverse order: state leaking from one call into
 the next through the parser would change a later transcript.
 
-``main`` hands a command line that starts with a subcommand straight to
-that subcommand's parser, so every case is also parsed both ways and
-compared with the top-level parse that argparse would do.
+``main`` turns a well-formed subcommand line into its namespace in one
+exact pass, and hands any other line that starts with a subcommand
+straight to that subcommand's parser, so every case, and random command
+lines, are also parsed both ways and compared with the top-level parse
+that argparse would do.
 """
 
 import argparse
@@ -23,8 +25,10 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tamari.cli import _parse_command_line, build_parser, main
+from tamari.cli import _parse_command_line, _parsers, build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -100,7 +104,11 @@ CASES = [
 PARSE_ONLY = [[], ["-h"], ["count", "-h"],
               ["poly", "NE", "--mirror", "--json", "--max-n", "3"],
               ["--json", "count", "4"], ["count"], ["count", "--", "4"],
-              ["phi", "3", "extra", "words"]]
+              ["phi", "3", "extra", "words"],
+              ["interval", "A", "--json", "B"],
+              ["count", "4", "--json", "--json"], ["count", "-1"],
+              ["count", "4", "--max-n", "-3"], ["poly", "-"],
+              ["count", "4", "--method", "bogus"], ["poly", "-h"]]
 
 
 def transcript_hash(argv: list[str]) -> str:
@@ -146,6 +154,97 @@ def parse_outcome(parse, argv: list[str]):
 def test_one_parse_matches_the_top_level_parse(argv):
     assert parse_outcome(_parse_command_line, argv) == \
         parse_outcome(build_parser().parse_args, argv)
+
+
+WELL_FORMED = {
+    "count": ["count", "4", "--method", "series", "--max-n", "9", "--json"],
+    "poly": ["poly", "--at-one", "NE", "--bivar", "--json"],
+    "interval": ["interval", "NE", "--trees", "NE", "--poset", "--extensions"],
+    "lattice": ["lattice", "3", "--mtamari", "2", "--json"],
+    "phi": ["phi", "--m", "2", "3", "--max-n", "40"],
+    "mtamari-verify": ["mtamari-verify", "--n", "3", "--m", "2", "--json"],
+}
+OWN_OPTIONS = {name: sorted({option for action in sub._actions
+                              for option in action.option_strings})
+               for name, sub in _parsers()[1].items()}
+OPTIONS = sorted(set().union(*OWN_OPTIONS.values()))
+VALUES = ["4", "0", "12", "NE", "_", "[_,_]", "formula", "series", "bogus",
+          "٣", " 7", ""]
+ODD = ["--mir", "--bi", "--at", "--all", "--me", "--max", "--js", "--mt",
+       "--ext", "--method=series", "--max-n=3", "--m=2", "--json=1",
+       "-1", "-3", "-", "--"]
+WORD = st.sampled_from(sorted(OWN_OPTIONS) + OPTIONS + VALUES + ODD)
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand or any word, then words drawn mostly from that
+    subcommand's own options and from values."""
+    first = draw(st.one_of(st.sampled_from(sorted(OWN_OPTIONS)), WORD))
+    own = st.sampled_from(OWN_OPTIONS.get(first, OPTIONS))
+    groups = draw(st.lists(st.one_of(
+        st.sampled_from(VALUES).map(lambda value: [value]),
+        st.tuples(own, st.sampled_from(VALUES)).map(list),
+        own.map(lambda option: [option]),
+        WORD.map(lambda word: [word])), max_size=4))
+    return [first] + sum(groups, [])
+
+
+@st.composite
+def near_well_formed_lines(draw):
+    """A well-formed line, its words after the subcommand perhaps
+    reordered, with up to two words inserted, deleted or replaced."""
+    first, *rest = draw(st.sampled_from(list(WELL_FORMED.values())))
+    if draw(st.booleans()):
+        rest = draw(st.permutations(rest))
+    for _ in range(draw(st.integers(0, 2))):
+        at, word = draw(st.integers(0, len(rest))), draw(WORD)
+        rest = draw(st.sampled_from([rest[:at] + [word] + rest[at:],
+                                     rest[:at] + rest[at + 1:],
+                                     rest[:at] + [word] + rest[at + 1:]]))
+    return [first] + rest
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(command_lines(), near_well_formed_lines()))
+def test_parse_matches_the_top_level_parse_on_random_lines(argv):
+    assert parse_outcome(_parse_command_line, argv) == \
+        parse_outcome(build_parser().parse_args, argv)
+
+
+def test_the_exact_pass_models_every_action():
+    # _grammars models one-word stores and store_true flags, in groups
+    # that are not required, and takes defaults as they are, which argparse
+    # does too unless a string default has a type to pass through
+    for sub in _parsers()[1].values():
+        for action in sub._actions:
+            assert type(action) in (argparse._HelpAction,
+                                    argparse._StoreTrueAction) or \
+                type(action) is argparse._StoreAction and action.nargs is None
+            assert not isinstance(action.default, str) or action.type is None
+        assert not any(g.required for g in sub._mutually_exclusive_groups)
+
+
+def test_well_formed_lines_skip_argparse(monkeypatch):
+    assert set(WELL_FORMED) == set(_parsers()[1])
+    expected = {name: build_parser().parse_args(argv)
+                for name, argv in WELL_FORMED.items()}
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        parsed.append(args)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    for name, argv in WELL_FORMED.items():
+        assert _parse_command_line(argv) == expected[name]
+    assert parsed == []
+    # argparse accepts these too, but the exact pass does not model them
+    for argv in (["count", "4", "--json", "--json"], ["count", "-1"],
+                 ["count", "4", "--max-n", "-3"], ["poly", "-"]):
+        _parse_command_line(argv)
+        assert parsed.pop() == (argv[1:],)
 
 
 def test_main_builds_no_parser_per_call(monkeypatch):

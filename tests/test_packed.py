@@ -20,12 +20,13 @@ from helpers import (left_comb, mary_poly_sparse, mirror,
                      mtamari_interval_count, random_ballot, right_comb,
                      tree_poly_sparse)
 from tamari import poly
-from tamari.mtamari import (BallotPath, fuss_catalan, mary_tamari_poly,
-                            path_to_mary_prefix, phi_m_series)
-from tamari.poly import (B, Polynomial, _repack, _slope, _slot_width,
-                         _to_polynomial, delta, tamari_poly,
+from tamari.mtamari import (BallotPath, _mary_children, fuss_catalan,
+                            mary_tamari_poly, path_to_mary_prefix,
+                            phi_m_series)
+from tamari.poly import (B, Polynomial, _repack, _root_bound, _slope,
+                         _slot_width, _to_polynomial, delta, tamari_poly,
                          tamari_poly_bivar, tamari_poly_mirror)
-from tamari.trees import BinaryTree, from_dyck
+from tamari.trees import BinaryTree, _postfix, from_dyck
 
 
 def catalan(n):
@@ -191,6 +192,25 @@ def test_sized_fold_on_paths(sizes, rng, data):
     value = mary_tamari_poly(tree)
     assert value == mary_poly_sparse(tree)
     assert 1 <= value.subs(x=1, y=1).constant() <= fuss_catalan(m, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.builds(lambda rng, n: _postfix(from_dyck(random_ballot(rng, 1, n))),
+              st.randoms(use_true_random=False), st.integers(0, 400)),
+    st.builds(lambda n, top: _postfix(right_comb(n) if top else left_comb(n)),
+              st.integers(0, 2000), st.booleans()),
+    st.builds(lambda rng, m, n: _postfix(path_to_mary_prefix(BallotPath(
+        m, random_ballot(rng, m, n))), _mary_children),
+        st.randoms(use_true_random=False), st.integers(1, 5),
+        st.integers(0, 120))))
+@example([0]).via("the empty tree")
+def test_root_bound_is_the_smaller_of_the_count_and_the_power(code):
+    nodes, arity = len(code) - code.count(0), max(code)
+    bare = bytes(code).count(bytes((0, arity))) if 1 < arity < 256 else 0
+    assert _root_bound(code, nodes, arity) == min(
+        comb(arity * nodes, nodes),
+        (nodes + 1) ** ((arity - 1) * nodes - bare))
 
 
 @given(st.integers(1, 64), st.integers(1, 64), st.data())
