@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 
 from . import intervalposet, mtamari, order, poly, trees
-from .compose import enumerate_interval_posets
+from .compose import count_interval_posets
 
 TREE_LATTICE_CAP = 8
 PATH_LATTICE_CAP = 5
@@ -63,11 +63,11 @@ def _count_one(method: str, n: int, args) -> int:
     if method == "formula":
         try:
             return poly.chapoton_count(n)
-        except OverflowError:  # math.factorial refuses sizes past sys.maxsize
+        except OverflowError:  # math.comb refuses sizes past sys.maxsize
             raise CommandError(f"n={n} is too large for the formula") from None
     if method == "enumerate":
         _gate(args, n, ENUMERATION_CAP, "enumerate is")
-        return len(enumerate_interval_posets(n))
+        return count_interval_posets(n)
     if method == "bruteforce":
         cap = _gate(args, n, order.TREE_ORACLE_CAP, "bruteforce is")
         return order.count_intervals_bruteforce(n, max_n=cap)
@@ -118,15 +118,15 @@ def cmd_poly(args) -> int:
         variant, p = "bivar", poly.tamari_poly_bivar(tree)
     else:
         variant, p = "standard", poly.tamari_poly(tree)
-    payload = {"variant": variant, "polynomial": str(p)}
-    if args.json:  # text output never shows the tree
-        payload["tree"] = trees.format_tree(tree)
-    if args.at_one:
-        value = p.subs(x=1, b=1).constant()
-        payload["at_one"] = value
-        _emit(args, [str(value)], payload)
+    shown = p.subs(x=1, b=1).constant() if args.at_one else p
+    if args.json:  # text output shows neither the variant nor the tree
+        payload = {"variant": variant, "polynomial": str(p),
+                   "tree": trees.format_tree(tree)}
+        if args.at_one:
+            payload["at_one"] = shown
+        _emit(args, [], payload)
     else:
-        _emit(args, [str(p)], payload)
+        _emit(args, [str(shown)], {})
     return 0
 
 

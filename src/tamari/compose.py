@@ -7,14 +7,39 @@ the new vertex k1+1, and k1+1 precedes nothing above it.  The free choice
 is how many of I2's decreasing-forest roots v1 < v2 < ... hang below the new
 vertex, and the absorbed roots must form a prefix of that list, so a poset
 with m roots contributes m+1 terms.
+
+Enumeration runs this recursion on packed ints and builds
+:class:`IntervalPoset` objects only for its result.  A poset of size n is
+packed at the width W, the smallest of 8, 16, 32 and 64 that holds n: the
+pair (a, b) sits at bit W*W - (a-1)*W - b, so row 1 is on top and each row
+fills a W-bit slot bit-reversed.  Relabelling every vertex up by s moves
+each pair s*(W+1) bits down, so a term of compose(I1, I2) is I1 ORed with
+the column of the new vertex k1+1, ORed with a term of compose(empty, I2)
+shifted right by k1*(W+1).
+
+Read from the top, a packed R lists its pairs in the order of
+sorted(relations), so one int sort gives the canonical order once each R
+becomes the key (((FULL ^ R) & -low) << (W*W + 1)) - low, with
+low = R & -R its last pair and FULL the W*W one-bits.  Where two lists
+first differ, the one holding the pair reads 0 in FULL ^ R, so its key is
+smaller.  The mask -low clears the bits past a list's end, so a proper
+prefix keys at most as high as a list it starts, and minus low, below the
+shifted part, puts the shorter first on a tie.  R = 0 keys to 0, the
+least: no poset holds (1, 1), so every other key is positive.  A key
+gives R back: low = -key mod 2**(W*W + 1).
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
+from struct import Struct
 
-from .intervalposet import IntervalPoset
+from .intervalposet import IntervalPoset, _labels
 from .trees import BinaryTree, _fold, _postfix
+
+_WIDTHS = (8, 16, 32, 64)
+_REVERSED = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
 
 def compose(i1: IntervalPoset, i2: IntervalPoset) -> list[IntervalPoset]:
@@ -60,43 +85,101 @@ def decompose(poset: IntervalPoset) -> tuple[IntervalPoset, IntervalPoset]:
             IntervalPoset._trusted(poset.n - k, right))
 
 
+def _width(n: int) -> int:
+    """The packing width of size-n posets: the smallest of 8, 16, 32 and 64
+    that holds n."""
+    for width in _WIDTHS:
+        if n <= width:
+            return width
+    raise ValueError(
+        f"interval-posets are enumerated up to size {_WIDTHS[-1]}")
+
+
+def _column(rows: int, width: int) -> int:
+    """The bits of the pairs (a, 1) for a = 1..rows, the top bit of each
+    of those rows' slots."""
+    return sum(1 << width * (width - a) - 1 for a in range(rows))
+
+
 @cache
-def _posets_of_size(n: int) -> tuple[IntervalPoset, ...]:
-    if n == 0:
-        return (IntervalPoset._trusted(0, ()),)
-    out: list[IntervalPoset] = []
-    for k1 in range(n):
-        for i1 in _posets_of_size(k1):
-            for i2 in _posets_of_size(n - 1 - k1):
-                out.extend(compose(i1, i2))
-    out.sort(key=_canonical_key(n))
-    return tuple(out)
+def _prefixes(roots: int, rows: int, width: int) -> tuple[int, ...]:
+    """The vertices that precede the new vertex 1 in each term of
+    compose(empty, I2), as column-1 bits one row down: I2's rows above
+    each root, and then all of them.  ``roots`` and ``rows`` mark I2's
+    roots and all its rows by their column-1 bits."""
+    return tuple(rows >> label << label >> width
+                 for label in (*_labels(roots), 0))
 
 
-def _canonical_key(n: int):
-    """An int sort key on size-n posets that orders like sorted(p.relations).
+def _bottoms(k2: int, width: int) -> list[int]:
+    """Every term of compose(empty, I2) over the size-k2 posets I2, packed.
 
-    Rows bit-reversed and packed with row 1 on top put the pair (a, b) at
-    bit n*n - (a-1)*n - b of R, so reading R downward lists pairs in order.
-    So read, full ^ R ('0' marks a present pair) down to R's lowest pair
-    lb = R & -R orders like the sorted lists: where two first differ, the
-    list holding the pair reads '0', and a list that ends first reads a
-    proper prefix.  Padded with zeros, (full ^ R) & -lb keeps every other
-    comparison and ties a prefix at most; shifted above every lb, minus
-    lb, ties go to the shorter.  R = 0 gets 0, the least: no poset holds
-    (1, 1), so every other key is positive.
+    A term is I2 moved one row and one column down, with vertex 1 under a
+    prefix of its decreasing components.  A row is a root when it holds no
+    pair (v, b) with b < v: adding 0111..1 to every slot carries into the
+    slot's top bit exactly when such a pair sits past column 1.
     """
-    rev = [int(f"{row:0{n}b}"[::-1], 2) for row in range(1 << n)]
-    shift, full = n * n + 1, (1 << n * n) - 1
+    rows = _column(k2, width)
+    lower = sum(1 << width * (width - v + 1) - b
+                for v in range(3, width + 1) for b in range(2, v))
+    spread = (1 << width * width) - 1 - _column(width, width)
+    return [(i2 >> width + 1) | absorbed
+            for i2 in _posets_of_size(k2, width)
+            for absorbed in _prefixes(
+                rows & ~((i2 & lower) + spread | i2), rows, width)]
 
-    def key(poset: IntervalPoset) -> int:
-        packed = 0
-        for row in poset.succ:
-            packed = packed << n | rev[row]
-        low = packed & -packed
-        return (((full ^ packed) & -low) << shift) - low
 
-    return key
+def _terms(n: int, k1: int, width: int, tops) -> list[int]:
+    """The packed terms of compose(I1, I2) for every I1 in ``tops`` (size
+    k1) and every I2 of size n-1-k1: I1 under the column of k1+1, ORed
+    with a bottom relabelled up by k1."""
+    bottoms = _bottoms(n - 1 - k1, width)
+    if not k1:  # I1 is empty: the bottoms are the terms, and ORs would copy
+        return bottoms
+    column = _column(k1, width) >> k1
+    shift = k1 * (width + 1)
+    bottoms = [bottom >> shift for bottom in bottoms]
+    return [top | bottom for top in [i1 | column for i1 in tops]
+            for bottom in bottoms]
+
+
+@cache
+def _posets_of_size(n: int, width: int) -> tuple[int, ...]:
+    """Every interval-poset of size n packed at ``width``, in composition
+    order."""
+    if n == 0:
+        return (0,)
+    return tuple(chain.from_iterable(
+        _terms(n, k1, width, _posets_of_size(k1, width)) for k1 in range(n)))
+
+
+def _top_level(n: int, width: int):
+    """The packed size-n posets in one list per k1, none of them cached."""
+    if n == 0:
+        return [_posets_of_size(0, width)]
+    return (_terms(n, k1, width, _posets_of_size(k1, width))
+            for k1 in range(n))
+
+
+def _decode_sorted(n: int, width: int, parts) -> list[IntervalPoset]:
+    """The size-n posets packed at ``width`` in the lists ``parts``, as
+    objects in canonical order: one int sort of their keys, and each key
+    decoded back in place.  Bit-reversing each of R's big-endian bytes
+    turns every row's slot into its successor mask as a little-endian
+    word."""
+    full, shift = (1 << width * width) - 1, width * width + 1
+    keys = [(((full ^ packed) & -(low := packed & -packed)) << shift) - low
+            for part in parts for packed in part]
+    keys.sort()
+    unpack = Struct(f"<{n}{'BHIQ'[_WIDTHS.index(width)]}").unpack_from
+    trusted, below = IntervalPoset._trusted, (1 << shift) - 1
+    size = width * width // 8
+    for i, key in enumerate(keys):
+        low = -key & below
+        packed = (full ^ (key + low) >> shift) & -low
+        rows = unpack(packed.to_bytes(size).translate(_REVERSED))
+        keys[i] = trusted(n, rows)
+    return keys
 
 
 def enumerate_interval_posets(n: int) -> list[IntervalPoset]:
@@ -104,7 +187,19 @@ def enumerate_interval_posets(n: int) -> list[IntervalPoset]:
     recursion (each appears exactly once), in canonical order."""
     if n < 0:
         raise ValueError("size must be non-negative")
-    return list(_posets_of_size(n))
+    width = _width(n)
+    return _decode_sorted(n, width, _top_level(n, width))
+
+
+@cache
+def count_interval_posets(n: int) -> int:
+    """The number of interval-posets of size n, by generating each one
+    through the composition recursion, packed: no object is built, and
+    the terms of each k1 are dropped once counted.  Only the count is
+    kept, so asking again costs nothing."""
+    if n < 0:
+        raise ValueError("size must be non-negative")
+    return sum(map(len, _top_level(n, _width(n))))
 
 
 def initial_interval_sum(tree: BinaryTree) -> list[IntervalPoset]:

@@ -18,7 +18,7 @@ which Chapoton's equation Phi = B(Phi, Phi) + 1 is the m = 1 case.
 from __future__ import annotations
 
 import re
-from math import comb, factorial, log2
+from math import comb, log2
 from operator import mul
 
 from .trees import BinaryTree, _fold, _postfix
@@ -532,7 +532,8 @@ def phi_series(max_degree: int) -> Polynomial:
 
 
 def chapoton_count(n: int) -> int:
-    """Closed-form interval count 2*(4n+1)! / ((n+1)!*(3n+2)!)."""
+    """Closed-form interval count 2*(4n+1)! / ((n+1)!*(3n+2)!), computed
+    as 2*C(4n+1, n+1) / ((3n+1)*(3n+2)): one binomial, no factorials."""
     if n < 0:
         raise ValueError("size must be non-negative")
-    return 2 * factorial(4 * n + 1) // (factorial(n + 1) * factorial(3 * n + 2))
+    return 2 * comb(4 * n + 1, n + 1) // ((3 * n + 1) * (3 * n + 2))

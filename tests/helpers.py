@@ -10,7 +10,7 @@ package does on per-vertex successor masks.
 
 from functools import cache
 from itertools import accumulate
-from math import comb
+from math import comb, factorial
 
 from tamari.intervalposet import IntervalPosetError
 from tamari.mtamari import (BallotPath, MAryTree, enumerate_ballot_paths,
@@ -134,6 +134,30 @@ def mary_poly_sparse(tree: MAryTree) -> Polynomial:
     if tree.is_leaf:
         return X
     return multilinear_Bm([mary_poly_sparse(c) for c in tree.children])
+
+
+def chapoton_count_factorial(n: int) -> int:
+    """Chapoton's interval count 2*(4n+1)! / ((n+1)!*(3n+2)!), from the
+    factorials as the formula states it."""
+    return (2 * factorial(4 * n + 1)
+            // (factorial(n + 1) * factorial(3 * n + 2)))
+
+
+def pack_poset(n: int, relations, width: int) -> int:
+    """An interval-poset as the enumeration packs it: the pair (a, b) at
+    bit width*width - (a-1)*width - b, read off the pair set."""
+    return sum(1 << width * width - (a - 1) * width - b for a, b in relations)
+
+
+def unpack_relations(packed: int, width: int) -> frozenset[tuple[int, int]]:
+    """Inverse of :func:`pack_poset`: the pairs whose bits are set."""
+    pairs = []
+    while packed:
+        low = packed & -packed
+        q = width * width - (low.bit_length() - 1) - 1  # (a-1)*width + b-1
+        pairs.append((q // width + 1, q % width + 1))
+        packed ^= low
+    return frozenset(pairs)
 
 
 def mtamari_interval_count(m: int, n: int) -> int:

@@ -4,8 +4,10 @@ from collections import Counter
 
 import pytest
 
-from helpers import compose_sparse, decompose_sparse, tree_upsets
-from tamari.compose import (_canonical_key, compose, decompose,
+from helpers import (compose_sparse, decompose_sparse, pack_poset,
+                     tree_upsets, unpack_relations)
+from tamari.compose import (_decode_sorted, _posets_of_size, _terms, _width,
+                            compose, count_interval_posets, decompose,
                             enumerate_interval_posets, initial_interval_sum)
 from tamari.intervalposet import (IntervalPoset, inc_forest, lower_tree,
                                   stat_monomial, upper_tree, validate)
@@ -150,16 +152,51 @@ def test_decompose_splits_at_the_upper_root():
             assert upper_tree(i2) == upper.right
 
 
-def test_canonical_key_orders_like_sorted_relations():
+def test_packed_key_orders_like_sorted_relations():
+    # at both widths the enumeration packs at n <= 16, so this also runs
+    # the 16-bit decode, which the pinned texts (n <= 8) never reach
     rng = random.Random(7)
-    for n in range(8):
-        posets = enumerate_interval_posets(n)
-        shuffled = posets[:]
-        rng.shuffle(shuffled)
-        ordered = sorted(shuffled, key=_canonical_key(n))
-        assert [sorted(p.relations) for p in ordered] == \
-            sorted(sorted(p.relations) for p in posets)
-        assert not ordered[0].relations
+    for width in (8, 16):
+        for n in range(8):
+            packed = list(_posets_of_size(n, width))
+            expected = sorted(sorted(unpack_relations(r, width))
+                              for r in packed)
+            rng.shuffle(packed)
+            ordered = _decode_sorted(n, width, [packed])
+            assert [sorted(p.relations) for p in ordered] == expected
+            assert all(p.n == n for p in ordered)
+            assert not ordered[0].relations
+
+
+def test_packing_width():
+    assert [_width(n) for n in (0, 1, 8, 9, 16, 17, 32, 33, 64)] == \
+        [8, 8, 8, 16, 16, 32, 32, 64, 64]
+    with pytest.raises(ValueError):
+        _width(65)
+
+
+def test_packed_terms_match_compose():
+    # compose() on objects is the reference for the packed kernel: given
+    # the smaller sizes, each split's terms are those of compose(), at the
+    # width of the size and at the next one
+    for width in (8, 16):
+        def level(k):
+            return [IntervalPoset(k, unpack_relations(r, width))
+                    for r in _posets_of_size(k, width)]
+        for n in range(1, 7):
+            for k1 in range(n):
+                packed = _terms(n, k1, width, _posets_of_size(k1, width))
+                expected = [pack_poset(n, t.relations, width)
+                            for i1 in level(k1) for i2 in level(n - 1 - k1)
+                            for t in compose(i1, i2)]
+                assert sorted(packed) == sorted(expected), (n, width, k1)
+
+
+def test_packed_count_matches_the_formula():
+    assert [count_interval_posets(n) for n in range(10)] == \
+        [chapoton_count(n) for n in range(10)]
+    with pytest.raises(ValueError):
+        count_interval_posets(-1)
 
 
 def test_compose_matches_sparse_reference():

@@ -1,6 +1,7 @@
 import pytest
 
-from helpers import phi_series_fixed_point, tree_downsets, tree_upsets
+from helpers import (chapoton_count_factorial, phi_series_fixed_point,
+                     tree_downsets, tree_upsets)
 from tamari.poly import (ONE, X, Polynomial, bilinear_B, bilinear_B_bivar,
                          chapoton_count, delta, parse_polynomial, phi_series,
                          tamari_poly, tamari_poly_bivar, tamari_poly_mirror)
@@ -197,8 +198,10 @@ def test_phi_series_matches_tree_sums():
 
 def test_chapoton_count():
     assert [chapoton_count(n) for n in range(5)] == [1, 1, 3, 13, 68]
-    # 2*21!/(6!*17!) for n=5, evaluated independently
-    from math import factorial
-    assert chapoton_count(5) == 2 * factorial(21) // (factorial(6) * factorial(17))
     with pytest.raises(ValueError):
         chapoton_count(-1)
+
+
+def test_chapoton_count_matches_the_factorial_form():
+    for n in [*range(300), 1000, 4321]:
+        assert chapoton_count(n) == chapoton_count_factorial(n), n
