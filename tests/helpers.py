@@ -143,7 +143,7 @@ def chapoton_count_factorial(n: int) -> int:
             // (factorial(n + 1) * factorial(3 * n + 2)))
 
 
-def pack_poset(n: int, relations, width: int) -> int:
+def pack_poset(relations, width: int) -> int:
     """An interval-poset as the enumeration packs it: the pair (a, b) at
     bit width*width - (a-1)*width - b, read off the pair set."""
     return sum(1 << width * width - (a - 1) * width - b for a, b in relations)

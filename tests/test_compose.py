@@ -186,7 +186,7 @@ def test_packed_terms_match_compose():
         for n in range(1, 7):
             for k1 in range(n):
                 packed = _terms(n, k1, width, _posets_of_size(k1, width))
-                expected = [pack_poset(n, t.relations, width)
+                expected = [pack_poset(t.relations, width)
                             for i1 in level(k1) for i2 in level(n - 1 - k1)
                             for t in compose(i1, i2)]
                 assert sorted(packed) == sorted(expected), (n, width, k1)
