@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 from collections import Counter
+from itertools import chain
 
 from . import intervalposet, mtamari, order, poly, trees
 from .compose import count_interval_posets
@@ -111,17 +112,15 @@ def cmd_count(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    tree = trees.parse_tree(args.tree)
-    if args.mirror:
-        variant, p = "mirror", poly.tamari_poly_mirror(tree)
-    elif args.bivar:
-        variant, p = "bivar", poly.tamari_poly_bivar(tree)
-    else:
-        variant, p = "standard", poly.tamari_poly(tree)
+    # the parsed postfix code is folded as it is: no tree is built
+    code = trees._parse_code(args.tree)
+    p = poly._chain_poly(code, bivar=args.bivar, mirror=args.mirror)
     shown = p.subs(x=1, b=1).constant() if args.at_one else p
     if args.json:  # text output shows neither the variant nor the tree
+        variant = ("mirror" if args.mirror else "bivar" if args.bivar
+                   else "standard")
         payload = {"variant": variant, "polynomial": str(p),
-                   "tree": trees.format_tree(tree)}
+                   "tree": trees._literal(code)}
         if args.at_one:
             payload["at_one"] = shown
         _emit(args, [], payload)
@@ -143,11 +142,14 @@ def cmd_interval(args) -> int:
     show_poset = args.poset or not (show_trees or show_extensions)
 
     lines: list[str] = []
-    payload: dict = {"lower": trees.format_tree(lower),
-                     "upper": trees.format_tree(upper), "n": poset.n}
+    payload: dict = {}
+    if args.json:  # text output shows neither the two trees nor n
+        payload = {"lower": trees.format_tree(lower),
+                   "upper": trees.format_tree(upper), "n": poset.n}
     if show_poset:
-        lines.extend(poset.to_text().splitlines())
-        payload["poset"] = poset.to_text()
+        text = poset.to_text()
+        lines.extend(text.splitlines())
+        payload["poset"] = text
     if show_trees:
         inside = intervalposet.trees_in_interval(
             poset, max_n=_effective_cap(args, order.TREE_ORACLE_CAP))
@@ -215,13 +217,14 @@ def cmd_mtamari_verify(args) -> int:
     m, n = args.m, args.n
     _gate(args, n, PATH_LATTICE_CAP, "verification is")
     paths = mtamari.enumerate_ballot_paths(m, n)
-    below = Counter(q for p in paths for q in mtamari.path_upset(p))
+    below = Counter(chain.from_iterable(map(mtamari.path_upset, paths)))
     lines = []
     results = []
     all_ok = True
     for p in paths:
-        tree = mtamari.path_to_mary_prefix(p)
-        counted = mtamari.mary_tamari_poly(tree).subs(x=1, y=1).constant()
+        # the path's tree code is folded as it is: no tree is built
+        counted = poly._chain_poly(mtamari._path_code(p), mary=True).subs(
+            x=1, y=1).constant()
         expected = below[p]
         ok = counted == expected
         all_ok &= ok

@@ -18,15 +18,16 @@ the column of the new vertex k1+1, ORed with a term of compose(empty, I2)
 shifted right by k1*(W+1).
 
 Read from the top, a packed R lists its pairs in the order of
-sorted(relations), so one int sort gives the canonical order once each R
-becomes the key (((FULL ^ R) & -low) << (W*W + 1)) - low, with
-low = R & -R its last pair and FULL the W*W one-bits.  Where two lists
+sorted(relations), and rows n+1..W are empty, so one int sort gives the
+canonical order once R, shifted down by (W-n)*W bits to its n*W bits of
+rows, becomes the key (((FULL ^ R) & -low) << (n*W + 1)) - low, with
+low = R & -R its last pair and FULL the n*W one-bits.  Where two lists
 first differ, the one holding the pair reads 0 in FULL ^ R, so its key is
 smaller.  The mask -low clears the bits past a list's end, so a proper
 prefix keys at most as high as a list it starts, and minus low, below the
 shifted part, puts the shorter first on a tie.  R = 0 keys to 0, the
 least: no poset holds (1, 1), so every other key is positive.  A key
-gives R back: low = -key mod 2**(W*W + 1).
+gives R back: low = -key mod 2**(n*W + 1).
 """
 
 from __future__ import annotations
@@ -167,13 +168,13 @@ def _decode_sorted(n: int, width: int, parts) -> list[IntervalPoset]:
     decoded back in place.  Bit-reversing each of R's big-endian bytes
     turns every row's slot into its successor mask as a little-endian
     word."""
-    full, shift = (1 << width * width) - 1, width * width + 1
-    keys = [(((full ^ packed) & -(low := packed & -packed)) << shift) - low
-            for part in parts for packed in part]
+    drop, size = (width - n) * width, n * width // 8
+    full, shift = (1 << n * width) - 1, n * width + 1
+    keys = [(((full ^ (r := packed >> drop)) & -(low := r & -r)) << shift)
+            - low for part in parts for packed in part]
     keys.sort()
     unpack = Struct(f"<{n}{'BHIQ'[_WIDTHS.index(width)]}").unpack_from
     trusted, below = IntervalPoset._trusted, (1 << shift) - 1
-    size = width * width // 8
     for i, key in enumerate(keys):
         low = -key & below
         packed = (full ^ (key + low) >> shift) & -low

@@ -164,16 +164,22 @@ _mary_children = attrgetter("children")
 
 
 def path_to_mary_prefix(path: BallotPath) -> MAryTree:
-    """The tree whose right-to-left prefix reading gives the path.
+    """The tree whose right-to-left prefix reading gives the path."""
+    return _fold(_path_code(path), LEAF, lambda *children: MAryTree(children))
 
-    Reads the word plus the dropped trailing east step backwards, which is
-    a postfix code: E is a leaf, and N takes the last m+1 trees read as its
-    children.  The ballot condition is what makes this code close exactly
-    at the last step.
-    """
+
+def _path_code(path: BallotPath) -> bytes | list[int]:
+    """The postfix code of :func:`path_to_mary_prefix`'s tree: the word
+    plus the dropped trailing east step, read backwards, with E a leaf
+    and N a node whose m+1 children are the last m+1 trees read.  The
+    ballot condition is what makes this code close exactly at the last
+    step.  Bytes hold child counts below 256, a list any count."""
+    word = (path.steps + "E")[::-1]
     arity = path.m + 1
-    code = (arity if step == "N" else 0 for step in reversed(path.steps + "E"))
-    return _fold(code, LEAF, lambda *children: MAryTree(children))
+    if arity < 256:
+        table = bytes.maketrans(b"NE", bytes((arity, 0)))
+        return word.encode().translate(table)
+    return [arity if step == "N" else 0 for step in word]
 
 
 def mary_to_path_prefix(tree: MAryTree, m: int) -> BallotPath:

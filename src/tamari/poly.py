@@ -296,8 +296,7 @@ def tamari_poly(tree: BinaryTree) -> Polynomial:
 
 def tamari_poly_mirror(tree: BinaryTree) -> Polynomial:
     """Left/right-swapped recursion: counts trees above by right border."""
-    return _chain_poly(_postfix(tree, lambda t: (t.right, t.left) if t.size
-                                else ()))
+    return _chain_poly(_postfix(tree), mirror=True)
 
 
 def tamari_poly_bivar(tree: BinaryTree) -> Polynomial:
@@ -318,13 +317,16 @@ def tamari_poly_bivar(tree: BinaryTree) -> Polynomial:
 _SIZED_FOLD_BITS = 216
 
 
-def _chain_poly(code: list[int], bivar: bool = False,
-                mary: bool = False) -> Polynomial:
+def _chain_poly(code: bytes | list[int], bivar: bool = False,
+                mary: bool = False, mirror: bool = False) -> Polynomial:
     """Fold the chained form x * f_1 * D(f_2 * D(... * D(f_k))) over the
     children of each node of a postfix code, with x on each leaf, where
     D(x*h) = h + b*delta(h) and b = 1 unless ``bivar``.  On a binary tree
     that is x * (x*L) * D(x*R): x times the tree polynomial, which is
-    returned; with ``mary``, the value times y^(number of nodes).
+    returned; with ``mary``, the value times y^(number of nodes).  With
+    ``mirror``, each node's children are taken right to left: on a binary
+    tree's code, that is the fold of its mirror image's code.  The code is
+    a list of child counts, or those counts as bytes as the parsers yield.
 
     A power of x stays an exponent until its chain is differentiated, and
     D(x) = 1 passes the next child on, so a comb costs one increment per
@@ -341,16 +343,18 @@ def _chain_poly(code: list[int], bivar: bool = False,
     past them, :func:`_sized_fold` narrows each chain's slots.
     """
     nodes, arity = len(code) - code.count(0), max(code)
-    bound = _root_bound(code, nodes, arity)
+    bound = _root_bound(code, nodes, arity, mirror)
     width = _slot_width(bound)
     limit = _SIZED_FOLD_BITS * max(arity - 1, 1) // (2 if bivar else 1)
     if bound.bit_length() > limit:
-        power, packed, width = _sized_fold(code, width, bivar)[:3]
+        power, packed, width = _sized_fold(code, width, bivar, mirror)[:3]
     else:
         step = _times_slope_b if bivar else _times_slope
         leaf = (1, [1] if bivar else 1)
 
         def node(*children):
+            if mirror:
+                children = children[::-1]
             value = children[-1]
             for f in children[-2::-1]:
                 if value is not leaf:  # else D(x) = 1 leaves f as the chain
@@ -365,11 +369,17 @@ def _chain_poly(code: list[int], bivar: bool = False,
                           by_b=True)
 
 
-def _root_bound(code: list[int], nodes: int, arity: int) -> int:
+def _root_bound(code: bytes | list[int], nodes: int, arity: int,
+                mirror: bool = False) -> int:
     """min(C(aN, N), (N+1)^s) for :func:`_chain_poly`'s code of N nodes of
     arity a, the binomial taken only when it can be the smaller: a power
-    below 2^N is below C(aN, N) >= 2^N for a >= 2, and both are 1 for a < 2."""
+    below 2^N is below C(aN, N) >= 2^N for a >= 2, and both are 1 for a < 2.
+    A node is bare when its chain ends on a leaf: its last child, or its
+    first if ``mirror``.  A binary tree's N + 1 empty subtrees are each a
+    left or a right child, so mirrored, N + 1 less the bare nodes are bare."""
     bare = bytes(code).count(bytes((0, arity))) if 1 < arity < 256 else 0
+    if mirror:
+        bare = nodes + 1 - bare if arity == 2 else 0
     bound = (nodes + 1) ** ((arity - 1) * nodes - bare)
     if bound.bit_length() > nodes:
         bound = min(bound, comb(arity * nodes, nodes))
@@ -417,8 +427,10 @@ def _round_width(bits: int) -> int:
     return -(-bits >> shift) << shift
 
 
-def _sized_fold(code: list[int], root_width: int, bivar: bool) -> tuple:
-    """:func:`_chain_poly`'s fold with each chain packed at its own width.
+def _sized_fold(code: bytes | list[int], root_width: int, bivar: bool,
+                mirror: bool = False) -> tuple:
+    """:func:`_chain_poly`'s fold with each chain packed at its own width,
+    each node's children taken right to left if ``mirror``.
 
     A value is (power, packed, width, s, d, mu_0, mu_1, mu_2, mu_3): the
     chain x^power * packed, its slot width, the nodes s of the subtrees it
@@ -466,6 +478,8 @@ def _sized_fold(code: list[int], root_width: int, bivar: bool) -> tuple:
     leaf = (1, [1] if bivar else 1, 8, 0, 1, 1, 1, 0, 0)
 
     def node(*children):
+        if mirror:
+            children = children[::-1]
         value = children[-1]
         for f in children[-2::-1]:
             if value is not leaf:  # f * D(value); D(x) = 1

@@ -12,7 +12,9 @@ node, and dropping the leading N.
 
 Tree walks run on explicit stacks, most of them as folds over the tree's
 postfix code (:func:`_postfix`), so trees of any depth parse, print and
-fold.  Only the size-capped oracles and enumerators recurse.
+fold.  The text parsers check their input and yield that code
+(:func:`_parse_code`), which a caller can fold into a tree or straight
+into a value.  Only the size-capped oracles and enumerators recurse.
 """
 
 from __future__ import annotations
@@ -208,6 +210,11 @@ def from_dyck(word: str) -> BinaryTree:
     bad = set(word) - {"N", "E"}
     if bad:
         raise ValueError(f"Dyck word may only contain N and E, got {bad!r}")
+    return _fold(_dyck_code(word), EMPTY, BinaryTree)
+
+
+def _dyck_code(word: str) -> bytes:
+    """The postfix code of a word over {N, E}, checked to be a Dyck word."""
     height = 0
     for i, step in enumerate(word):
         height += 1 if step == "N" else -1
@@ -215,7 +222,7 @@ def from_dyck(word: str) -> BinaryTree:
             raise ValueError(f"invalid Dyck word: E-surplus at position {i}")
     if height != 0:
         raise ValueError("invalid Dyck word: unequal N and E counts")
-    return _fold(("N" + word).encode().translate(_CODES), EMPTY, BinaryTree)
+    return ("N" + word).encode().translate(_CODES)
 
 
 # postfix readings to child counts: N and _ are empty subtrees, E and ] nodes
@@ -223,26 +230,36 @@ _CODES = bytes.maketrans(b"NE_]", b"\0\2\0\2")
 
 
 def format_tree(tree: BinaryTree) -> str:
-    return _fold(_postfix(tree), "_", lambda left, right: f"[{left},{right}]")
+    return _literal(_postfix(tree))
+
+
+def _literal(code) -> str:
+    """The ``_`` / ``[L,R]`` literal of a binary tree's postfix code."""
+    return _fold(code, "_", lambda left, right: f"[{left},{right}]")
 
 
 def parse_tree(text: str) -> BinaryTree:
     """Parse a tree literal (``_`` / ``[L,R]``) or a Dyck word."""
+    return _fold(_parse_code(text), EMPTY, BinaryTree)
+
+
+def _parse_code(text: str) -> bytes:
+    """The checked postfix code of the tree :func:`parse_tree` reads."""
     s = "".join(text.split())
     if not s:
         raise ValueError("empty tree literal")
     if s[0] in "_[":
-        return _parse_literal(s)
+        return _literal_code(s)
     if set(s) <= {"N", "E"}:
-        return from_dyck(s)
+        return _dyck_code(s)
     pos = next(i for i, c in enumerate(s) if c not in "NE")
     raise ValueError(f"unrecognized character at position {pos}: {s[pos]!r}")
 
 
-def _parse_literal(s: str) -> BinaryTree:
+def _literal_code(s: str) -> bytes:
     """Check ``_`` / ``[L,R]`` against a stack of what must come next: a
-    tree (None) or the separator that closes a pending node.  Then fold the
-    postfix reading, in which ``_`` is an empty subtree and ``]`` a node."""
+    tree (None) or the separator that closes a pending node.  The postfix
+    code is the literal's ``_`` (empty subtrees) and ``]`` (nodes)."""
     expect: list[str | None] = [None]
     for pos, c in enumerate(s):
         if not expect:
@@ -258,4 +275,4 @@ def _parse_literal(s: str) -> BinaryTree:
         raise ValueError(f"unexpected end of literal at position {len(s)}")
     if expect:
         raise ValueError(f"expected {expect[-1]!r} at position {len(s)}")
-    return _fold(s.encode().translate(_CODES, b"[,"), EMPTY, BinaryTree)
+    return s.encode().translate(_CODES, b"[,")

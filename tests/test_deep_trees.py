@@ -5,6 +5,7 @@ default recursion limit; each would raise RecursionError if a walk
 recursed once per level.
 """
 
+import json
 import sys
 
 import pytest
@@ -150,3 +151,23 @@ def test_deep_interval_command(capsys):
     literal = left_literal(DEPTH)
     assert main(["interval", literal, literal]) == 0
     assert capsys.readouterr().out.startswith(f"n={DEPTH}\n1<2,2<3,")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["poly", left_literal(DEPTH)], f"x^{DEPTH}\n"),
+    (["poly", "NE" * DEPTH], f"x^{DEPTH}\n"),
+    (["poly", right_literal(DEPTH), "--mirror"], f"x^{DEPTH}\n"),
+    (["poly", "N" * DEPTH + "E" * DEPTH, "--mirror"], f"x^{DEPTH}\n"),
+    (["poly", left_literal(DEPTH), "--bivar", "--at-one"], "1\n"),
+], ids=["left-literal", "left-dyck", "right-literal-mirror",
+        "right-dyck-mirror", "left-bivar-at-one"])
+def test_deep_poly_command(capsys, argv, out):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_deep_poly_command_json(capsys):
+    assert main(["poly", "NE" * DEPTH, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "poly", "variant": "standard",
+        "polynomial": f"x^{DEPTH}", "tree": left_literal(DEPTH)}

@@ -75,9 +75,9 @@ def sized_folds(monkeypatch):
     """The sizes of the codes that take the sized fold."""
     sizes, fold = [], poly._sized_fold
 
-    def spy(code, root_width, bivar):
+    def spy(code, root_width, bivar, mirror=False):
         sizes.append(len(code))
-        return fold(code, root_width, bivar)
+        return fold(code, root_width, bivar, mirror)
 
     monkeypatch.setattr(poly, "_sized_fold", spy)
     return sizes
