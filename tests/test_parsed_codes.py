@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from helpers import left_comb, mirror, random_ballot, right_comb
 from tamari import mtamari, trees
 from tamari.cli import main
-from tamari.poly import (_SIZED_FOLD_BITS, _chain_poly, _root_bound,
-                         tamari_poly, tamari_poly_bivar, tamari_poly_mirror)
+from tamari.poly import (_chain_poly, _root_bound, tamari_poly,
+                         tamari_poly_bivar, tamari_poly_mirror)
 from tamari.trees import _postfix, format_tree, from_dyck, parse_tree
 
 VARIANTS = {"standard": ([], tamari_poly),
@@ -68,21 +68,14 @@ def test_poly_command_folds_the_parsed_code(text, variant, at_one, as_json):
         assert out == f"{shown}\n"
 
 
-def sized(code, mirror=False):
-    """Whether :func:`_chain_poly` takes the sized fold on ``code``."""
-    nodes = len(code) - code.count(0)
-    return _root_bound(code, nodes, max(code), mirror).bit_length() > \
-        _SIZED_FOLD_BITS
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 300), st.randoms(use_true_random=False))
 @example(n=20, rng=random.Random(0))
 @example(n=300, rng=random.Random(0))
 def test_mirror_fold_is_the_fold_of_the_mirror_image(n, rng):
+    # 20 and 300 nodes lie on each side of _SIZED_FOLD_BITS
     tree = from_dyck(random_ballot(rng, 1, n))
     code, mirrored = _postfix(tree), _postfix(mirror(tree))
-    assert sized(code, mirror=True) == sized(mirrored)
     assert _chain_poly(code, mirror=True) == _chain_poly(mirrored)
     assert _chain_poly(bytes(code), mirror=True) == _chain_poly(mirrored)
 
