@@ -112,15 +112,13 @@ def cmd_count(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    # the parsed postfix code is folded as it is: no tree is built
-    code = trees._parse_code(args.tree)
-    p = poly._chain_poly(code, bivar=args.bivar, mirror=args.mirror)
+    variant = ("mirror" if args.mirror else "bivar" if args.bivar
+               else "standard")
+    p = poly.text_tamari_poly(args.tree, variant)
     shown = p.subs(x=1, b=1).constant() if args.at_one else p
     if args.json:  # text output shows neither the variant nor the tree
-        variant = ("mirror" if args.mirror else "bivar" if args.bivar
-                   else "standard")
         payload = {"variant": variant, "polynomial": str(p),
-                   "tree": trees._literal(code)}
+                   "tree": trees.normal_literal(args.tree)}
         if args.at_one:
             payload["at_one"] = shown
         _emit(args, [], payload)
@@ -222,9 +220,7 @@ def cmd_mtamari_verify(args) -> int:
     results = []
     all_ok = True
     for p in paths:
-        # the path's tree code is folded as it is: no tree is built
-        counted = poly._chain_poly(mtamari._path_code(p), mary=True).subs(
-            x=1, y=1).constant()
+        counted = mtamari.path_poly(p).subs(x=1, y=1).constant()
         expected = below[p]
         ok = counted == expected
         all_ok &= ok

@@ -168,18 +168,21 @@ def path_to_mary_prefix(path: BallotPath) -> MAryTree:
     return _fold(_path_code(path), LEAF, lambda *children: MAryTree(children))
 
 
-def _path_code(path: BallotPath) -> bytes | list[int]:
+def _path_code(path: BallotPath) -> list[int]:
     """The postfix code of :func:`path_to_mary_prefix`'s tree: the word
     plus the dropped trailing east step, read backwards, with E a leaf
     and N a node whose m+1 children are the last m+1 trees read.  The
     ballot condition is what makes this code close exactly at the last
-    step.  Bytes hold child counts below 256, a list any count."""
-    word = (path.steps + "E")[::-1]
+    step."""
     arity = path.m + 1
-    if arity < 256:
-        table = bytes.maketrans(b"NE", bytes((arity, 0)))
-        return word.encode().translate(table)
-    return [arity if step == "N" else 0 for step in word]
+    return [arity if step == "N" else 0
+            for step in reversed(path.steps + "E")]
+
+
+def path_poly(path: BallotPath) -> Polynomial:
+    """:func:`mary_tamari_poly` of the path's tree, folded from the path's
+    code without building the tree."""
+    return _chain_poly(_path_code(path), mary=True)
 
 
 def mary_to_path_prefix(tree: MAryTree, m: int) -> BallotPath:

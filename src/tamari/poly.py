@@ -21,7 +21,7 @@ import re
 from math import comb, log2
 from operator import mul
 
-from .trees import BinaryTree, _fold, _postfix
+from .trees import BinaryTree, _fold, _parse_code, _postfix
 
 Key = tuple[int, int, int]  # (x-degree, y-degree, b-degree)
 
@@ -303,6 +303,18 @@ def tamari_poly_bivar(tree: BinaryTree) -> Polynomial:
     """Two-variable refinement in x and b; b marks lower-tree nodes that
     carry a right subtree.  Setting b=1 recovers :func:`tamari_poly`."""
     return _chain_poly(_postfix(tree), bivar=True)
+
+
+def text_tamari_poly(text: str, variant: str = "standard") -> Polynomial:
+    """The polynomial of ``variant`` (``standard``, ``mirror`` or ``bivar``)
+    of the tree a literal or Dyck word reads: :func:`tamari_poly`,
+    :func:`tamari_poly_mirror` or :func:`tamari_poly_bivar` of
+    :func:`~tamari.trees.parse_tree`, folded from the parsed code without
+    building the tree."""
+    if variant not in ("standard", "mirror", "bivar"):
+        raise ValueError(f"unknown polynomial variant {variant!r}")
+    return _chain_poly(_parse_code(text), bivar=variant == "bivar",
+                       mirror=variant == "mirror")
 
 
 # _chain_poly takes the sized fold when the bound on its values has more than

@@ -238,6 +238,12 @@ def _literal(code) -> str:
     return _fold(code, "_", lambda left, right: f"[{left},{right}]")
 
 
+def normal_literal(text: str) -> str:
+    """The literal of the tree a literal or Dyck word reads: that is
+    ``format_tree(parse_tree(text))``, rendered from the parsed code."""
+    return _literal(_parse_code(text))
+
+
 def parse_tree(text: str) -> BinaryTree:
     """Parse a tree literal (``_`` / ``[L,R]``) or a Dyck word."""
     return _fold(_parse_code(text), EMPTY, BinaryTree)

@@ -1,9 +1,11 @@
 """The CLI folds the postfix codes its parsers check, with no tree in between.
 
-``poly`` folds the code of its tree text, and ``mtamari-verify`` the code of
-each ballot path's tree.  These tests check the command output against the
-library's tree-based routes, the mirror fold against the fold of the
-mirror image's code, and that neither command builds a tree object.
+``poly`` folds the code of its tree text (``poly.text_tamari_poly``), and
+``mtamari-verify`` the code of each ballot path's tree
+(``mtamari.path_poly``).  These tests check the command output and those
+functions against the library's tree-based routes, the mirror fold against
+the fold of the mirror image's code, and that neither command builds a
+tree object.
 """
 
 import contextlib
@@ -19,7 +21,8 @@ from helpers import left_comb, mirror, random_ballot, right_comb
 from tamari import mtamari, trees
 from tamari.cli import main
 from tamari.poly import (_chain_poly, _root_bound, tamari_poly,
-                         tamari_poly_bivar, tamari_poly_mirror)
+                         tamari_poly_bivar, tamari_poly_mirror,
+                         text_tamari_poly)
 from tamari.trees import _postfix, format_tree, from_dyck, parse_tree
 
 VARIANTS = {"standard": ([], tamari_poly),
@@ -147,3 +150,22 @@ def test_mtamari_verify_builds_no_tree(constructions, m, n):
     code, out = run("mtamari-verify", "--m", str(m), "--n", str(n))
     assert code == 0 and out.endswith(" paths checked\n")
     assert constructions == []
+
+
+def test_text_tamari_poly_names_its_variants():
+    assert text_tamari_poly("NENE") == tamari_poly(from_dyck("NENE"))
+    with pytest.raises(ValueError, match="unknown polynomial variant"):
+        text_tamari_poly("NENE", "twisted")
+
+
+@pytest.mark.parametrize("text", ["_", "[[_,[_,_]],_]", "N E N N E E"])
+def test_normal_literal_is_the_formatted_tree(text):
+    assert trees.normal_literal(text) == format_tree(parse_tree(text))
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 3), (300, 2)])
+def test_path_poly_is_the_tree_polynomial(m, n):
+    # m = 300 takes child counts past one byte
+    for p in mtamari.enumerate_ballot_paths(m, n):
+        assert mtamari.path_poly(p) == mtamari.mary_tamari_poly(
+            mtamari.path_to_mary_prefix(p))
