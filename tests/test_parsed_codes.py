@@ -152,15 +152,9 @@ def test_mtamari_verify_builds_no_tree(constructions, m, n):
     assert constructions == []
 
 
-def test_text_tamari_poly_names_its_variants():
-    assert text_tamari_poly("NENE") == tamari_poly(from_dyck("NENE"))
+def test_text_tamari_poly_rejects_an_unknown_variant():
     with pytest.raises(ValueError, match="unknown polynomial variant"):
         text_tamari_poly("NENE", "twisted")
-
-
-@pytest.mark.parametrize("text", ["_", "[[_,[_,_]],_]", "N E N N E E"])
-def test_normal_literal_is_the_formatted_tree(text):
-    assert trees.normal_literal(text) == format_tree(parse_tree(text))
 
 
 @pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 3), (300, 2)])
