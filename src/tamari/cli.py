@@ -130,8 +130,6 @@ def cmd_poly(args) -> int:
 def cmd_interval(args) -> int:
     lower = trees.parse_tree(args.lower)
     upper = trees.parse_tree(args.upper)
-    if lower.size != upper.size:
-        raise CommandError("trees must have the same size")
     poset = intervalposet.make_interval(lower, upper)
     if poset is None:
         raise CommandError("not a Tamari interval", code=1)
@@ -156,15 +154,14 @@ def cmd_interval(args) -> int:
         payload["trees"] = literals
     if show_extensions:
         cap = _gate(args, poset.n, order.PERM_CAP, "extensions are")
-        extensions = sorted(intervalposet.linear_extensions(poset, max_n=cap))
-        low = min(extensions, key=lambda p: (len(order.coinv(p)), p))
-        high = max(extensions, key=lambda p: (len(order.coinv(p)), p))
-        for perm in extensions:
-            tag = " (min)" if perm == low else " (max)" if perm == high else ""
-            lines.append(order.format_permutation(perm) + tag)
-        payload["extensions"] = [order.format_permutation(p) for p in extensions]
-        payload["min"] = order.format_permutation(low)
-        payload["max"] = order.format_permutation(high)
+        texts = [order.format_permutation(p) for p in
+                 sorted(intervalposet.linear_extensions(poset, max_n=cap))]
+        # a weak-order interval: its min and max are first and last in sorted order
+        low, high = texts[0], texts[-1]
+        for text in texts:
+            tag = " (min)" if text == low else " (max)" if text == high else ""
+            lines.append(text + tag)
+        payload.update(extensions=texts, min=low, max=high)
     _emit(args, lines, payload)
     return 0
 
@@ -375,27 +372,14 @@ def _exact_parse(argv: list[str]) -> argparse.Namespace | None:
 
 
 def _parse_command_line(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with at most one parse per call.
+    """``build_parser().parse_args(argv)``, with one parse per call.
 
     A well-formed subcommand line, one that :func:`_exact_parse` models,
     becomes its namespace in one pass over the words, with no argparse
-    parse.  Any other line that starts with a subcommand goes to that
-    subcommand's parser alone, as the top-level parser would hand it on;
-    anything else (no words, -h, an unknown command) goes to the top-level
-    parser.  So every usage line, help text and error message comes from
-    argparse."""
-    parser, subparsers = _parsers()
-    sub = subparsers.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args = _exact_parse(argv)
-    if args is not None:
-        return args
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    parse.  Every other line goes to the top-level parser, so every usage
+    line, help text and error message comes from argparse."""
+    args = _exact_parse(argv) if argv and argv[0] in _grammars() else None
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -406,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ValueError, order.CapacityError) as exc:
+    except ValueError as exc:  # order.CapacityError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

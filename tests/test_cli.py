@@ -193,6 +193,9 @@ def test_interval_incomparable(capsys):
 def test_interval_size_mismatch(capsys):
     code, _, err = run(capsys, "interval", "[_,_]", "[[_,_],_]")
     assert code == 2
+    assert err == "error: trees must have the same size\n"  # make_interval's
+    code, out, err = run(capsys, "interval", "[_,_]", "[[_,_],_]", "--json")
+    assert (code, out, err) == (2, "", "error: trees must have the same size\n")
 
 
 def test_lattice_sizes(capsys):

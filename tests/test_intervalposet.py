@@ -1,4 +1,9 @@
+from functools import cache
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import sylvester_classes, tree_leq_pairs, tree_upsets
 from tamari.intervalposet import (IntervalPoset, IntervalPosetError,
@@ -8,8 +13,8 @@ from tamari.intervalposet import (IntervalPoset, IntervalPosetError,
                                   is_increasing_refinement, linear_extensions,
                                   lower_tree, make_interval, stat_monomial,
                                   trees_in_interval, upper_tree, validate)
-from tamari.order import CapacityError, format_permutation
-from tamari.poly import Polynomial, parse_polynomial
+from tamari.order import CapacityError, coinv, format_permutation, weak_leq
+from tamari.poly import Polynomial, chapoton_count, parse_polynomial
 from tamari.trees import enumerate_trees, parse_tree
 
 PAIR4_LOWER = parse_tree("[[[_,[_,_]],_],_]")
@@ -20,6 +25,7 @@ LEFT_COMB_3 = parse_tree("[[[_,_],_],_]")
 RIGHT_COMB_3 = parse_tree("[_,[_,[_,_]]]")
 
 
+@cache
 def all_posets(n):
     from tamari.compose import enumerate_interval_posets
     return enumerate_interval_posets(n)
@@ -266,6 +272,39 @@ def test_linear_extensions_edge_cases():
     assert len(linear_extensions(full)) == len(sylvester_classes(4)[PAIR4_LOWER])
     with pytest.raises(CapacityError):
         linear_extensions(IntervalPoset(8))
+
+
+@cache  # the oracles are slow, and the posets share their permutations
+def by_coinversions(p):
+    return len(coinv(p)), p
+
+
+weak_leq_cached = cache(weak_leq)
+
+
+def assert_sorted_ends_are_weak_order_ends(poset):
+    # interval --extensions tags the first and last sorted extensions
+    extensions = sorted(linear_extensions(poset))
+    assert extensions[0] == min(extensions, key=by_coinversions)
+    assert extensions[-1] == max(extensions, key=by_coinversions)
+    return extensions
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_linear_extensions_form_a_weak_order_interval(n):
+    for poset in all_posets(n):
+        extensions = assert_sorted_ends_are_weak_order_ends(poset)
+        if n <= 5:
+            low, high = extensions[0], extensions[-1]
+            assert extensions == [
+                q for q in permutations(range(1, n + 1))
+                if weak_leq_cached(low, q) and weak_leq_cached(q, high)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, chapoton_count(7) - 1))
+def test_sorted_extension_ends_at_seven(index):
+    assert_sorted_ends_are_weak_order_ends(all_posets(7)[index])
 
 
 def test_trees_in_interval():
