@@ -81,6 +81,8 @@ CASES = [
     ["lattice", "3", "--mtamari", "2"],
     ["lattice", "2", "--mtamari", "2", "--json"],
     ["lattice", "9"],
+    ["lattice", "7"],
+    ["lattice", "8", "--json"],
     ["lattice", "6", "--mtamari", "2"],
     ["phi", "3"],
     ["phi", "4", "--json"],
