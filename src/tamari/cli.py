@@ -15,6 +15,7 @@ import json
 import sys
 from collections import Counter
 from itertools import chain
+from operator import attrgetter
 
 from . import intervalposet, mtamari, order, poly, trees
 from .compose import count_interval_posets
@@ -155,8 +156,9 @@ def cmd_interval(args) -> int:
     if show_extensions:
         cap = _gate(args, poset.n, order.PERM_CAP, "extensions are")
         texts = [order.format_permutation(p) for p in
-                 sorted(intervalposet.linear_extensions(poset, max_n=cap))]
-        # a weak-order interval: its min and max are first and last in sorted order
+                 intervalposet.linear_extensions(poset, max_n=cap)]
+        # a weak-order interval: its min and max are first and last in
+        # lexicographic order
         low, high = texts[0], texts[-1]
         for text in texts:
             tag = " (min)" if text == low else " (max)" if text == high else ""
@@ -181,17 +183,16 @@ def cmd_lattice(args) -> int:
     if (m := args.mtamari) is not None:
         _gate(args, n, PATH_LATTICE_CAP, "ballot path lattices are")
         elements = mtamari.enumerate_ballot_paths(m, n)
-        covers = mtamari.path_rotation_covers
+        index = {e: i for i, e in enumerate(elements)}
+        edges = sorted((index[e], index[f]) for e in elements
+                       for f in mtamari.path_rotation_covers(e))
         labels = [p.steps for p in elements]
         name, payload = f"mtamari_{m}_{n}", {"kind": "ballot", "m": m, "n": n}
     else:
         _gate(args, n, TREE_LATTICE_CAP, "tree lattices are")
-        elements = trees.enumerate_trees(n)
-        covers = trees.tamari_covers_up
-        labels = [trees.format_tree(t) for t in elements]
+        labels = [trees.format_tree(t) for t in trees.enumerate_trees(n)]
+        edges = trees.tamari_cover_edges(n)
         name, payload = f"tamari_{n}", {"kind": "trees", "n": n}
-    index = {e: i for i, e in enumerate(elements)}
-    edges = sorted((index[e], index[f]) for e in elements for f in covers(e))
     payload.update({"vertices": labels, "edges": [list(e) for e in edges]})
     _emit(args, _dot(name, labels, edges), payload)
     return 0
@@ -212,13 +213,15 @@ def cmd_mtamari_verify(args) -> int:
     m, n = args.m, args.n
     _gate(args, n, PATH_LATTICE_CAP, "verification is")
     paths = mtamari.enumerate_ballot_paths(m, n)
-    below = Counter(chain.from_iterable(map(mtamari.path_upset, paths)))
+    # the words, hashed in C, stand for the paths of one m and n
+    below = Counter(map(attrgetter("steps"),
+                        chain.from_iterable(map(mtamari.path_upset, paths))))
     lines = []
     results = []
     all_ok = True
     for p in paths:
-        counted = mtamari.path_poly(p).subs(x=1, y=1).constant()
-        expected = below[p]
+        counted = mtamari.path_count(p)
+        expected = below[p.steps]
         ok = counted == expected
         all_ok &= ok
         verdict = "PASS" if ok else "FAIL"

@@ -318,10 +318,11 @@ def is_increasing_refinement(base: IntervalPoset, refined: IntervalPoset) -> boo
 
 
 def linear_extensions(poset: IntervalPoset,
-                      max_n: int = PERM_CAP) -> set[Permutation]:
-    """All permutations compatible with the poset (capped at size 7)."""
-    return set(linear_extensions_of_relation(poset.n, poset.relations,
-                                             max_n=max_n))
+                      max_n: int = PERM_CAP) -> list[Permutation]:
+    """All permutations compatible with the poset, in lexicographic order
+    (capped at size 7)."""
+    return linear_extensions_of_relation(poset.n, poset.relations,
+                                         max_n=max_n)
 
 
 def trees_in_interval(poset: IntervalPoset,

@@ -14,7 +14,8 @@ yields a counting polynomial for the path's lower set, checked here at x=1.
 
 The m-Tamari series comes from the solver in :mod:`tamari.poly`, whose m = 1
 case is Chapoton's equation for Tamari intervals, and the path polynomials
-from its tree fold, both on polynomials in x packed into single ints.
+and path counts from its tree fold, both on polynomials in x packed into
+single ints.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import re
 from functools import cache
 from operator import attrgetter
 
-from .poly import (Polynomial, X, Y, _chain_poly, _series_layers,
-                   _to_polynomial, delta)
+from .poly import (Polynomial, X, Y, _chain_fold, _chain_poly,
+                   _series_layers, _slot_sum, _to_polynomial, delta)
 from .trees import _fold, _postfix
 
 
@@ -179,10 +180,18 @@ def _path_code(path: BallotPath) -> list[int]:
             for step in reversed(path.steps + "E")]
 
 
-def path_poly(path: BallotPath) -> Polynomial:
-    """:func:`mary_tamari_poly` of the path's tree, folded from the path's
-    code without building the tree."""
-    return _chain_poly(_path_code(path), mary=True)
+def path_count(path: BallotPath) -> int:
+    """The number of paths below ``path``, itself included, as the tree
+    fold counts them: :func:`mary_tamari_poly` of the path's tree at
+    x = y = 1, folded from the path's code with no tree and no polynomial.
+
+    That value is the sum of the slots of the root's packed chain.  The
+    fold packs every chain at a width whose slots exceed a bound on the
+    chain's value at x = 1 (see :func:`tamari.poly._chain_fold`), so the
+    sum is below 2^width, and :func:`tamari.poly._slot_sum` reads it off
+    exactly with one remainder."""
+    _, packed, width = _chain_fold(_path_code(path))
+    return _slot_sum(packed, width)
 
 
 def mary_to_path_prefix(tree: MAryTree, m: int) -> BallotPath:

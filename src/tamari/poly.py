@@ -271,6 +271,17 @@ def _slope(packed: int, width: int) -> int:
     return out
 
 
+def _slot_sum(packed: int, width: int) -> int:
+    """The sum of the slots of a packed polynomial, its value at x = 1,
+    given that the sum is below 2^width.  As 2^width is 1 modulo
+    2^width - 1, ``packed`` is its slot sum modulo 2^width - 1, and in
+    0 .. 2^width - 1 only 0 and 2^width - 1 share a residue.  The slots
+    are non-negative, so the sum is 0 only when ``packed`` is."""
+    mask = (1 << width) - 1
+    residue = packed % mask
+    return residue if residue or not packed else mask
+
+
 def _to_polynomial(layers: list[int], width: int, shift: int = 0,
                    by_b: bool = False) -> Polynomial:
     """The polynomial with slot i of layers[d] on x^(i+shift) * y^d, or on
@@ -317,7 +328,7 @@ def text_tamari_poly(text: str, variant: str = "standard") -> Polynomial:
                        mirror=variant == "mirror")
 
 
-# _chain_poly takes the sized fold when the bound on its values has more than
+# _chain_fold takes the sized fold when the bound on its values has more than
 # _SIZED_FOLD_BITS bits for each product a node forms (one per child but the
 # last), or half that on the b-refined fold, whose products cost more: the
 # sized fold pays a fixed cost per product to narrow it.  On a 2-core x86_64
@@ -331,14 +342,29 @@ _SIZED_FOLD_BITS = 216
 
 def _chain_poly(code: bytes | list[int], bivar: bool = False,
                 mary: bool = False, mirror: bool = False) -> Polynomial:
+    """The value of :func:`_chain_fold` as a polynomial: divided by x, the
+    tree polynomial, its packed layers by b-degree; with ``mary``, the
+    value times y^(number of nodes)."""
+    power, packed, width = _chain_fold(code, bivar, mirror)
+    if mary:
+        nodes = len(code) - code.count(0)
+        return _to_polynomial([0] * nodes + [packed], width, power)
+    return _to_polynomial(packed if bivar else [packed], width, power - 1,
+                          by_b=True)
+
+
+def _chain_fold(code: bytes | list[int], bivar: bool = False,
+                mirror: bool = False) -> tuple:
     """Fold the chained form x * f_1 * D(f_2 * D(... * D(f_k))) over the
     children of each node of a postfix code, with x on each leaf, where
     D(x*h) = h + b*delta(h) and b = 1 unless ``bivar``.  On a binary tree
-    that is x * (x*L) * D(x*R): x times the tree polynomial, which is
-    returned; with ``mary``, the value times y^(number of nodes).  With
-    ``mirror``, each node's children are taken right to left: on a binary
-    tree's code, that is the fold of its mirror image's code.  The code is
-    a list of child counts, or those counts as bytes as the parsers yield.
+    that is x * (x*L) * D(x*R), x times the tree polynomial.  The value
+    is returned as (power, packed, width): x^power times the packed
+    polynomial whose slots are ``width`` bits wide, or with ``bivar``, a
+    list of those by b-degree.  With ``mirror``, each node's children are
+    taken right to left: on a binary tree's code, that is the fold of its
+    mirror image's code.  The code is a list of child counts, or those
+    counts as bytes as the parsers yield.
 
     A power of x stays an exponent until its chain is differentiated, and
     D(x) = 1 passes the next child on, so a comb costs one increment per
@@ -375,15 +401,12 @@ def _chain_poly(code: bytes | list[int], bivar: bool = False,
             return value[0] + 1, value[1]
 
         power, packed = _fold(code, leaf, node)
-    if mary:
-        return _to_polynomial([0] * nodes + [packed], width, power)
-    return _to_polynomial(packed if bivar else [packed], width, power - 1,
-                          by_b=True)
+    return power, packed, width
 
 
 def _root_bound(code: bytes | list[int], nodes: int, arity: int,
                 mirror: bool = False) -> int:
-    """min(C(aN, N), (N+1)^s) for :func:`_chain_poly`'s code of N nodes of
+    """min(C(aN, N), (N+1)^s) for :func:`_chain_fold`'s code of N nodes of
     arity a, the binomial taken only when it can be the smaller: a power
     below 2^N is below C(aN, N) >= 2^N for a >= 2, and both are 1 for a < 2.
     A node is bare when its chain ends on a leaf: its last child, or its
@@ -441,7 +464,7 @@ def _round_width(bits: int) -> int:
 
 def _sized_fold(code: bytes | list[int], root_width: int, bivar: bool,
                 mirror: bool = False) -> tuple:
-    """:func:`_chain_poly`'s fold with each chain packed at its own width,
+    """:func:`_chain_fold`'s fold with each chain packed at its own width,
     each node's children taken right to left if ``mirror``.
 
     A value is (power, packed, width, s, d, mu_0, mu_1, mu_2, mu_3): the
@@ -458,7 +481,7 @@ def _sized_fold(code: bytes | list[int], root_width: int, bivar: bool,
     coefficients of x^p * c.  The bounds:
 
     - the root's value (``root_width``), as values grow toward the root
-      (see :func:`_chain_poly`);
+      (see :func:`_chain_fold`);
     - mu_0 of P: x has degree 1 and moments (1, 1, 0, 0); a product
       convolves them, truncated to four; times x maps mu_j to
       mu_j + mu_(j-1); D at b = 1 is delta, which shifts them down one

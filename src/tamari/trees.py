@@ -164,6 +164,49 @@ def _bracket_vector(tree: BinaryTree) -> list[int]:
     return sizes
 
 
+def _bracket_vectors(n: int) -> list[tuple[int, ...]]:
+    """The bracket vectors of :func:`enumerate_trees` (n), in that order.
+    A tree of size k is a node on two trees of smaller sizes, the very
+    objects listed for those sizes, so its vector joins theirs: the left
+    one, the size of the right one, then the right one."""
+    elements = enumerate_trees(n)
+    vectors = {id(EMPTY): ()}
+    for k in range(1, n + 1):
+        for t in _trees_of_size(k):
+            vectors[id(t)] = (vectors[id(t.left)] + (t.right.size,)
+                              + vectors[id(t.right)])
+    return [vectors[id(t)] for t in elements]
+
+
+def tamari_cover_edges(n: int) -> list[tuple[int, int]]:
+    """The covers of the Tamari lattice on :func:`enumerate_trees` (n): the
+    sorted pairs (i, j) with tree j one right rotation above tree i, the
+    pairs :func:`tamari_covers_up` gives, read off bracket vectors.
+
+    In a bracket vector v (right subtree sizes by 0-based label) the
+    subtree of node z ends at label z + v[z].  The subtrees ending at y - 1
+    are those of the right spine of y's left subtree, so node y has a left
+    child exactly when some z has z + v[z] = y - 1, and that child x is
+    the smallest such z.  The right rotation at y, y(x(A,B),C) to
+    x(A,y(B,C)), changes one entry: x's right subtree becomes y(B,C), so
+    v[x] grows by v[y] + 1.
+    """
+    vectors = _bracket_vectors(n)
+    index = {v: i for i, v in enumerate(vectors)}
+    edges = []
+    for i, v in enumerate(vectors):
+        child = {}  # subtree end -> the smallest node whose subtree ends there
+        for z in range(n - 1, -1, -1):
+            child[z + v[z]] = z
+        for end, x in child.items():
+            if end < n - 1:  # node end + 1 has the left child x
+                w = list(v)
+                w[x] += v[end + 1] + 1
+                edges.append((i, index[tuple(w)]))
+    edges.sort()
+    return edges
+
+
 def tamari_leq(t: BinaryTree, u: BinaryTree) -> bool:
     """t <= u in the Tamari order: the bracket vectors (right subtree
     sizes by label) compare componentwise (Huang and Tamari, 1972)."""

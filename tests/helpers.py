@@ -17,7 +17,7 @@ from tamari.mtamari import (BallotPath, MAryTree, enumerate_ballot_paths,
                             multilinear_Bm, path_upset)
 from tamari.order import sylvester_class, tamari_upset
 from tamari.poly import ONE, X, Polynomial, bilinear_B, delta
-from tamari.trees import EMPTY, BinaryTree, enumerate_trees
+from tamari.trees import EMPTY, BinaryTree, enumerate_trees, tamari_covers_up
 
 
 @cache
@@ -35,6 +35,16 @@ def tree_downsets(n: int) -> dict[BinaryTree, frozenset[BinaryTree]]:
     ups = tree_upsets(n)
     trees = enumerate_trees(n)
     return {t: frozenset(u for u in trees if t in ups[u]) for t in trees}
+
+
+def rotation_cover_edges(n: int) -> list[tuple[int, int]]:
+    """The covers of the Tamari lattice on enumerate_trees(n) as sorted
+    index pairs, by rotating every tree at every label and finding each
+    rotated tree by equality."""
+    elements = enumerate_trees(n)
+    index = {t: i for i, t in enumerate(elements)}
+    return sorted((index[t], index[u])
+                  for t in elements for u in tamari_covers_up(t))
 
 
 @cache

@@ -21,11 +21,11 @@ from helpers import (left_comb, mary_poly_sparse, mirror,
                      tree_poly_sparse)
 from tamari import poly
 from tamari.mtamari import (BallotPath, _mary_children, fuss_catalan,
-                            mary_tamari_poly, path_to_mary_prefix,
-                            phi_m_series)
+                            mary_tamari_poly, path_count,
+                            path_to_mary_prefix, phi_m_series)
 from tamari.poly import (B, Polynomial, _repack, _root_bound, _slope,
-                         _slot_width, _to_polynomial, delta, tamari_poly,
-                         tamari_poly_bivar, tamari_poly_mirror)
+                         _slot_sum, _slot_width, _to_polynomial, delta,
+                         tamari_poly, tamari_poly_bivar, tamari_poly_mirror)
 from tamari.trees import BinaryTree, _postfix, from_dyck
 
 
@@ -61,6 +61,7 @@ def test_top_path_polynomials(m):
         value = mary_tamari_poly(path_to_mary_prefix(path))
         assert value == mary_poly_sparse(path_to_mary_prefix(path))
         assert value.subs(x=1, y=1).constant() == fuss_catalan(m, n)
+        assert path_count(path) == fuss_catalan(m, n)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -106,8 +107,10 @@ def test_large_bivar_polynomial(n, sized_folds):
 def test_large_path_polynomial(m, n, sized, sized_folds):
     path = BallotPath(m, random_ballot(random.Random(2), m, n))
     tree = path_to_mary_prefix(path)
-    assert mary_tamari_poly(tree) == mary_poly_sparse(tree)
-    assert sized_folds == ([(m + 1) * n + 1] if sized else [])
+    value = mary_tamari_poly(tree)
+    assert value == mary_poly_sparse(tree)
+    assert path_count(path) == value.subs(x=1, y=1).constant()
+    assert sized_folds == ([(m + 1) * n + 1] if sized else []) * 2
 
 
 def test_small_trees_skip_the_sized_fold(sized_folds):
@@ -232,6 +235,26 @@ def test_pack_unpack_and_slope(coeffs):
         sparse(coeffs) * Polynomial.monomial(1, ex=3, ey=1)
     assert _to_polynomial([_slope(packed, width)], width) == \
         delta(sparse(coeffs))
+
+
+@pytest.mark.parametrize("width", [8, 16, 64, 216])
+def test_slot_sum_at_the_top_of_its_range(width):
+    # slot sums of 2^width - 1 leave no remainder modulo 2^width - 1
+    top = 2 ** width - 1
+    for coeffs in ([top], [1, top - 1], [0, top - 5, 2, 3], [0, 0, top]):
+        assert _slot_sum(pack(coeffs, width), width) == top
+    assert _slot_sum(pack([0, top - 1], width), width) == top - 1
+    assert _slot_sum(0, width) == 0
+
+
+@given(st.integers(1, 32), st.data())
+def test_slot_sum_is_the_value_at_one(size, data):
+    width = 8 * size
+    top = 2 ** width - 1
+    total = data.draw(st.one_of(st.just(top), st.integers(0, top)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=40)))
+    coeffs = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    assert _slot_sum(pack(coeffs, width), width) == total
 
 
 def test_slot_widths_are_whole_bytes():

@@ -1,11 +1,13 @@
 """The CLI folds the postfix codes its parsers check, with no tree in between.
 
 ``poly`` folds the code of its tree text (``poly.text_tamari_poly``), and
-``mtamari-verify`` the code of each ballot path's tree
-(``mtamari.path_poly``).  These tests check the command output and those
+``mtamari-verify`` the code of each ballot path's tree, down to the count
+(``mtamari.path_count``).  These tests check the command output and those
 functions against the library's tree-based routes, the mirror fold against
 the fold of the mirror image's code, and that neither command builds a
-tree object.
+tree object, nor ``mtamari-verify`` a polynomial.  ``lattice`` reads its
+covers off bracket vectors (``trees.tamari_cover_edges``), so it builds no
+rotated tree either.
 """
 
 import contextlib
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from helpers import left_comb, mirror, random_ballot, right_comb
 from tamari import mtamari, trees
 from tamari.cli import main
-from tamari.poly import (_chain_poly, _root_bound, tamari_poly,
+from tamari.poly import (Polynomial, _chain_poly, _root_bound, tamari_poly,
                          tamari_poly_bivar, tamari_poly_mirror,
                          text_tamari_poly)
 from tamari.trees import _postfix, format_tree, from_dyck, parse_tree
@@ -157,9 +159,35 @@ def test_text_tamari_poly_rejects_an_unknown_variant():
         text_tamari_poly("NENE", "twisted")
 
 
-@pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 3), (300, 2)])
-def test_path_poly_is_the_tree_polynomial(m, n):
+@pytest.mark.parametrize("m, n", [(1, 4), (1, 5), (2, 3), (2, 4), (3, 3),
+                                  (300, 2)])
+def test_path_code_folds_to_the_tree_polynomial(m, n):
     # m = 300 takes child counts past one byte
     for p in mtamari.enumerate_ballot_paths(m, n):
-        assert mtamari.path_poly(p) == mtamari.mary_tamari_poly(
-            mtamari.path_to_mary_prefix(p))
+        value = mtamari.mary_tamari_poly(mtamari.path_to_mary_prefix(p))
+        assert _chain_poly(mtamari._path_code(p), mary=True) == value
+        assert mtamari.path_count(p) == value.subs(x=1, y=1).constant()
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_lattice_command_builds_no_tree(constructions, n):
+    trees.enumerate_trees(n)  # the enumeration builds its trees once
+    constructions.clear()
+    code, out = run("lattice", str(n))
+    assert code == 0 and out.endswith("}\n")
+    assert constructions == []
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 3)])
+def test_mtamari_verify_builds_no_polynomial(monkeypatch, m, n):
+    built = []
+    init = Polynomial.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting)
+    code, out = run("mtamari-verify", "--m", str(m), "--n", str(n))
+    assert code == 0 and out.endswith(" paths checked\n")
+    assert built == []

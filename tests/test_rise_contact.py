@@ -16,7 +16,7 @@ import pytest
 
 from tamari.compose import enumerate_interval_posets
 from tamari.intervalposet import decreasing_components, upper_tree
-from tamari.mtamari import enumerate_ballot_paths, path_poly, phi_m_series
+from tamari.mtamari import enumerate_ballot_paths, path_count, phi_m_series
 from tamari.poly import Polynomial, phi_series, tamari_poly
 from tamari.trees import enumerate_trees, right_border_count
 
@@ -62,6 +62,6 @@ def test_phi_m_from_path_counts_by_rise(m, max_n):
         by_rise = Counter()
         for q in enumerate_ballot_paths(m, n):
             rise = len(q.steps) - len(q.steps.lstrip("N"))
-            by_rise[rise + 1] += path_poly(q).subs(x=1, y=1).constant()
+            by_rise[rise + 1] += path_count(q)
         assert phi.y_coefficient(n) == Polynomial(
             {(ex, 0, 0): count for ex, count in by_rise.items()}), (m, n)

@@ -1,12 +1,13 @@
 import pytest
 
-from helpers import tree_leq_pairs
+from helpers import rotation_cover_edges, tree_leq_pairs
 from tamari.compose import enumerate_interval_posets
 from tamari.intervalposet import dec_forest, decreasing_components, lower_tree
-from tamari.trees import (EMPTY, BinaryTree, canonical_key, enumerate_trees,
+from tamari.trees import (EMPTY, BinaryTree, _bracket_vector,
+                          _bracket_vectors, canonical_key, enumerate_trees,
                           format_tree, from_dyck, left_border_count,
                           parse_tree, right_border_count, rotate_right_at,
-                          tamari_covers_up, to_dyck)
+                          tamari_cover_edges, tamari_covers_up, to_dyck)
 
 TREE6 = "[[[_,[_,_]],_],[[_,_],_]]"  # root 4, left subtree {1,2,3}, right {5,6}
 TREE6_DYCK = "NNEENENNENEE"
@@ -71,6 +72,20 @@ def test_size4_cover_edge_total():
     assert len(enumerate_trees(4)) == 14
     assert sum(len(tamari_covers_up(t)) for t in enumerate_trees(4)) == 21
     assert len(tamari_covers_up(left_comb(4))) == 3
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_bracket_vector_covers_are_the_rotations(n):
+    assert _bracket_vectors(n) == [tuple(_bracket_vector(t))
+                                   for t in enumerate_trees(n)]
+    edges = tamari_cover_edges(n)
+    assert edges == rotation_cover_edges(n)
+    assert len(edges) == max(n - 1, 0) * CATALAN[n] // 2
+
+
+def test_cover_edges_reject_a_negative_size():
+    with pytest.raises(ValueError):
+        tamari_cover_edges(-1)
 
 
 def test_covers_of_empty():
