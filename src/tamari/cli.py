@@ -190,7 +190,7 @@ def cmd_lattice(args) -> int:
         name, payload = f"mtamari_{m}_{n}", {"kind": "ballot", "m": m, "n": n}
     else:
         _gate(args, n, TREE_LATTICE_CAP, "tree lattices are")
-        labels = [trees.format_tree(t) for t in trees.enumerate_trees(n)]
+        labels = trees.format_trees(n)
         edges = trees.tamari_cover_edges(n)
         name, payload = f"tamari_{n}", {"kind": "trees", "n": n}
     payload.update({"vertices": labels, "edges": [list(e) for e in edges]})

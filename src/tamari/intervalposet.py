@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import re
 from functools import cache
+from operator import le
 
 from .order import (PERM_CAP, TREE_ORACLE_CAP, CapacityError, Permutation,
-                    linear_extensions_of_relation, tamari_leq_oracle)
+                    linear_extensions_of_relation)
 from .poly import Polynomial
-from .trees import EMPTY, BinaryTree, _fold, enumerate_trees
+from .trees import (EMPTY, BinaryTree, _bracket_vector, _bracket_vectors,
+                    _fold, enumerate_trees)
 
 
 class IntervalPosetError(ValueError):
@@ -327,13 +329,16 @@ def linear_extensions(poset: IntervalPoset,
 
 def trees_in_interval(poset: IntervalPoset,
                       max_n: int = TREE_ORACLE_CAP) -> list[BinaryTree]:
-    """All trees between the poset's lower and upper trees, oracle-filtered,
-    in canonical order."""
+    """All trees between the poset's lower and upper trees, in canonical
+    order: those whose bracket vector lies componentwise between the two
+    trees' vectors (Huang and Tamari, 1972)."""
     if poset.n > max_n:
         raise CapacityError(f"interval tree listing capped at n={max_n}")
-    lo, hi = lower_tree(poset), upper_tree(poset)
-    return [t for t in enumerate_trees(poset.n)
-            if tamari_leq_oracle(lo, t) and tamari_leq_oracle(t, hi)]
+    lo = _bracket_vector(lower_tree(poset))
+    hi = _bracket_vector(upper_tree(poset))
+    return [t for t, v in zip(enumerate_trees(poset.n),
+                              _bracket_vectors(poset.n))
+            if all(map(le, lo, v)) and all(map(le, v, hi))]
 
 
 def decreasing_components(poset: IntervalPoset) -> int:

@@ -54,6 +54,15 @@ class BallotPath:
         self.steps = steps
         self._hash = hash((m, steps))
 
+    @classmethod
+    def _trusted(cls, m: int, steps: str) -> BallotPath:
+        # internal: ``steps`` must already be an m-ballot word
+        path = object.__new__(cls)
+        path.m = m
+        path.steps = steps
+        path._hash = hash((m, steps))
+        return path
+
     @property
     def n(self) -> int:
         return len(self.steps) // (self.m + 1)
@@ -91,7 +100,7 @@ def enumerate_ballot_paths(m: int, n: int) -> list[BallotPath]:
     while stack:
         word, norths, easts = stack.pop()
         if norths == n and easts == m * n:
-            out.append(BallotPath(m, word))
+            out.append(BallotPath._trusted(m, word))
             continue
         if easts < m * norths:  # pushed first, so the N branch pops first
             stack.append((word + "E", norths, easts + 1))
@@ -114,7 +123,7 @@ def path_rotation_covers(path: BallotPath) -> set[BallotPath]:
                 if deficit == 0:
                     break
             rotated = word[:i] + word[i + 1:j + 1] + "E" + word[j + 1:]
-            covers.add(BallotPath(m, rotated))
+            covers.add(BallotPath._trusted(m, rotated))
     return covers
 
 

@@ -14,7 +14,9 @@ Tree walks run on explicit stacks, most of them as folds over the tree's
 postfix code (:func:`_postfix`), so trees of any depth parse, print and
 fold.  The text parsers check their input and yield that code
 (:func:`_parse_code`), which a caller can fold into a tree or straight
-into a value.  Only the size-capped oracles and enumerators recurse.
+into a value.  The trees of one size share their subtrees, so a fold of
+them all takes one step per tree (:func:`_shared_fold`).  Only the
+size-capped oracles and enumerators recurse.
 """
 
 from __future__ import annotations
@@ -164,24 +166,40 @@ def _bracket_vector(tree: BinaryTree) -> list[int]:
     return sizes
 
 
-def _bracket_vectors(n: int) -> list[tuple[int, ...]]:
-    """The bracket vectors of :func:`enumerate_trees` (n), in that order.
-    A tree of size k is a node on two trees of smaller sizes, the very
-    objects listed for those sizes, so its vector joins theirs: the left
-    one, the size of the right one, then the right one."""
+def _shared_fold(n: int, leaf, combine) -> list:
+    """The fold of each tree of :func:`enumerate_trees` (n), in that order:
+    ``leaf`` for the empty tree and ``combine`` of the values of the two
+    subtrees for a node.  A tree of size k is a node on two trees of
+    smaller sizes, the very objects listed for those sizes, so one
+    ``combine`` per tree of each size up to n, keyed by ``id``, folds them
+    all."""
     elements = enumerate_trees(n)
-    vectors = {id(EMPTY): ()}
+    values = {id(EMPTY): leaf}
     for k in range(1, n + 1):
         for t in _trees_of_size(k):
-            vectors[id(t)] = (vectors[id(t.left)] + (t.right.size,)
-                              + vectors[id(t.right)])
-    return [vectors[id(t)] for t in elements]
+            values[id(t)] = combine(values[id(t.left)], values[id(t.right)])
+    return [values[id(t)] for t in elements]
+
+
+def _bracket_vectors(n: int) -> list[tuple[int, ...]]:
+    """The bracket vectors of :func:`enumerate_trees` (n), in that order,
+    as :func:`_bracket_vector` gives them: a node's vector is its left
+    subtree's, then the size of its right subtree (its vector's length),
+    then its right subtree's."""
+    return _shared_fold(n, (), lambda left, right: left + (len(right),) + right)
+
+
+def format_trees(n: int) -> list[str]:
+    """The literals of :func:`enumerate_trees` (n), in that order: each is
+    :func:`format_tree` of its tree, joined from its subtrees' literals."""
+    return _shared_fold(n, "_", _node_literal)
 
 
 def tamari_cover_edges(n: int) -> list[tuple[int, int]]:
     """The covers of the Tamari lattice on :func:`enumerate_trees` (n): the
     sorted pairs (i, j) with tree j one right rotation above tree i, the
-    pairs :func:`tamari_covers_up` gives, read off bracket vectors.
+    pairs :func:`tamari_covers_up` gives, read off the bracket vectors
+    :func:`_bracket_vectors` folds over the enumeration's shared subtrees.
 
     In a bracket vector v (right subtree sizes by 0-based label) the
     subtree of node z ends at label z + v[z].  The subtrees ending at y - 1
@@ -278,7 +296,11 @@ def format_tree(tree: BinaryTree) -> str:
 
 def _literal(code) -> str:
     """The ``_`` / ``[L,R]`` literal of a binary tree's postfix code."""
-    return _fold(code, "_", lambda left, right: f"[{left},{right}]")
+    return _fold(code, "_", _node_literal)
+
+
+def _node_literal(left: str, right: str) -> str:
+    return f"[{left},{right}]"
 
 
 def normal_literal(text: str) -> str:

@@ -12,10 +12,10 @@ from functools import cache
 from itertools import accumulate
 from math import comb, factorial
 
-from tamari.intervalposet import IntervalPosetError
+from tamari.intervalposet import IntervalPosetError, lower_tree, upper_tree
 from tamari.mtamari import (BallotPath, MAryTree, enumerate_ballot_paths,
                             multilinear_Bm, path_upset)
-from tamari.order import sylvester_class, tamari_upset
+from tamari.order import sylvester_class, tamari_leq_oracle, tamari_upset
 from tamari.poly import ONE, X, Polynomial, bilinear_B, delta
 from tamari.trees import EMPTY, BinaryTree, enumerate_trees, tamari_covers_up
 
@@ -45,6 +45,14 @@ def rotation_cover_edges(n: int) -> list[tuple[int, int]]:
     index = {t: i for i, t in enumerate(elements)}
     return sorted((index[t], index[u])
                   for t in elements for u in tamari_covers_up(t))
+
+
+def oracle_trees_in_interval(poset) -> list[BinaryTree]:
+    """The trees of an interval-poset's interval in canonical order, by
+    rotation closure from its lower tree and to its upper tree."""
+    lo, hi = lower_tree(poset), upper_tree(poset)
+    return [t for t in enumerate_trees(poset.n)
+            if tamari_leq_oracle(lo, t) and tamari_leq_oracle(t, hi)]
 
 
 @cache

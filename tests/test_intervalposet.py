@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import sylvester_classes, tree_leq_pairs, tree_upsets
+from helpers import (oracle_trees_in_interval, sylvester_classes,
+                     tree_leq_pairs, tree_upsets)
 from tamari.intervalposet import (IntervalPoset, IntervalPosetError,
                                   dec_forest, decreasing_components,
                                   inc_forest, interval_contains,
@@ -319,6 +320,21 @@ def test_trees_in_interval():
     assert len(inside) == 6
     ups = tree_upsets(6)
     assert set(inside) == {u for u in enumerate_trees(6) if six_node_tree in ups[u]}
+
+
+def test_trees_in_interval_is_the_rotation_closure_filter():
+    posets = [p for n in range(7) for p in all_posets(n)]
+    assert len(posets) == 3015
+    for poset in posets:
+        assert trees_in_interval(poset) == oracle_trees_in_interval(poset)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_large_trees_in_interval_is_the_rotation_closure_filter(n, data):
+    poset = data.draw(st.sampled_from(all_posets(n)))
+    assert trees_in_interval(poset) == oracle_trees_in_interval(poset)
 
 
 def test_stat_monomial():

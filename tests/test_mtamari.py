@@ -65,12 +65,16 @@ def test_rotation_covers():
 
 
 def test_rotation_outputs_are_valid_paths():
+    # the generator and the rotation build their paths unchecked; each must
+    # equal the validated path of its word
     for m in (1, 2, 3):
-        for n in range(5):
+        for n in range(6):
             for p in enumerate_ballot_paths(m, n):
-                for q in path_rotation_covers(p):
-                    assert BallotPath(q.m, q.steps) == q
-                    assert q.n == p.n
+                for q in (p, *path_rotation_covers(p)):
+                    checked = BallotPath(m, q.steps)
+                    assert (q.m, q.steps, hash(q)) == \
+                        (checked.m, checked.steps, hash(checked))
+                    assert q == checked and q.n == n
 
 
 def test_m1_covers_transport_to_tree_rotations():

@@ -7,7 +7,9 @@ functions against the library's tree-based routes, the mirror fold against
 the fold of the mirror image's code, and that neither command builds a
 tree object, nor ``mtamari-verify`` a polynomial.  ``lattice`` reads its
 covers off bracket vectors (``trees.tamari_cover_edges``), so it builds no
-rotated tree either.
+rotated tree either, and its labels off the enumeration's shared subtrees
+(``trees.format_trees``), so it formats no single tree; ``interval
+--trees`` compares bracket vectors, so it closes no rotations.
 """
 
 import contextlib
@@ -20,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import left_comb, mirror, random_ballot, right_comb
-from tamari import mtamari, trees
+from tamari import mtamari, order, trees
 from tamari.cli import main
 from tamari.poly import (Polynomial, _chain_poly, _root_bound, tamari_poly,
                          tamari_poly_bivar, tamari_poly_mirror,
@@ -176,6 +178,53 @@ def test_lattice_command_builds_no_tree(constructions, n):
     code, out = run("lattice", str(n))
     assert code == 0 and out.endswith("}\n")
     assert constructions == []
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """Record each call of a module's function, then make it."""
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def recording(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, recording)
+    return spy, calls
+
+
+def test_the_spy_sees_the_commands_calls(spied):
+    spy, calls = spied
+    spy(trees, "format_tree")
+    spy(order, "tamari_upset")
+    code, out = run("interval", "[[_,_],_]", "[_,[_,_]]", "--trees")
+    order.tamari_leq_oracle(parse_tree("[[_,_],_]"), parse_tree("[_,[_,_]]"))
+    assert code == 0 and out == "[_,[_,_]]\n[[_,_],_]\n"
+    assert "format_tree" in calls and "tamari_upset" in calls
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_lattice_command_formats_no_single_tree(spied, n):
+    spy, calls = spied
+    spy(trees, "format_tree")
+    code, out = run("lattice", str(n))
+    assert code == 0 and out.endswith("}\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ("NENENENENE", "NNNENNEEEE"), ("_", "_"),
+    ("[[[_,_],_],_]", "[_,[_,[_,_]]]"),
+    ("NENENENENENENENE", "NNNNNNNNEEEEEEEE")])
+def test_interval_trees_close_no_rotations(spied, lower, upper):
+    spy, calls = spied
+    spy(order, "tamari_upset")
+    code, out = run("interval", lower, upper, "--trees", "--json")
+    assert code == 0 and json.loads(out)["trees"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 3)])

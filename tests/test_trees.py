@@ -5,7 +5,8 @@ from tamari.compose import enumerate_interval_posets
 from tamari.intervalposet import dec_forest, decreasing_components, lower_tree
 from tamari.trees import (EMPTY, BinaryTree, _bracket_vector,
                           _bracket_vectors, canonical_key, enumerate_trees,
-                          format_tree, from_dyck, left_border_count,
+                          format_tree, format_trees, from_dyck,
+                          left_border_count,
                           parse_tree, right_border_count, rotate_right_at,
                           tamari_cover_edges, tamari_covers_up, to_dyck)
 
@@ -86,6 +87,16 @@ def test_bracket_vector_covers_are_the_rotations(n):
 def test_cover_edges_reject_a_negative_size():
     with pytest.raises(ValueError):
         tamari_cover_edges(-1)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_format_trees_formats_each_enumerated_tree(n):
+    assert format_trees(n) == [format_tree(t) for t in enumerate_trees(n)]
+
+
+def test_format_trees_rejects_a_negative_size():
+    with pytest.raises(ValueError, match="size must be non-negative"):
+        format_trees(-1)
 
 
 def test_covers_of_empty():
