@@ -72,9 +72,8 @@ def test_rotation_outputs_are_valid_paths():
             for p in enumerate_ballot_paths(m, n):
                 for q in (p, *path_rotation_covers(p)):
                     checked = BallotPath(m, q.steps)
-                    assert (q.m, q.steps, hash(q)) == \
-                        (checked.m, checked.steps, hash(checked))
-                    assert q == checked and q.n == n
+                    assert (q.m, q.steps, hash(q), q.n) == \
+                        (checked.m, checked.steps, hash(checked), n)
 
 
 def test_m1_covers_transport_to_tree_rotations():

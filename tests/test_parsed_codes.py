@@ -216,7 +216,7 @@ def test_lattice_command_formats_no_single_tree(spied, n):
 
 
 @pytest.mark.parametrize("lower, upper", [
-    ("NENENENENE", "NNNENNEEEE"), ("_", "_"),
+    ("NENENENENE", "NNNENNEEEE"), ("[[_,_],_]", "[_,[_,_]]"),
     ("[[[_,_],_],_]", "[_,[_,[_,_]]]"),
     ("NENENENENENENENE", "NNNNNNNNEEEEEEEE")])
 def test_interval_trees_close_no_rotations(spied, lower, upper):

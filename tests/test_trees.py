@@ -6,9 +6,9 @@ from tamari.intervalposet import dec_forest, decreasing_components, lower_tree
 from tamari.trees import (EMPTY, BinaryTree, _bracket_vector,
                           _bracket_vectors, canonical_key, enumerate_trees,
                           format_tree, format_trees, from_dyck,
-                          left_border_count,
-                          parse_tree, right_border_count, rotate_right_at,
-                          tamari_cover_edges, tamari_covers_up, to_dyck)
+                          left_border_count, parse_tree, right_border_count,
+                          rotate_right_at, tamari_cover_edges,
+                          tamari_covers_up, to_dyck)
 
 TREE6 = "[[[_,[_,_]],_],[[_,_],_]]"  # root 4, left subtree {1,2,3}, right {5,6}
 TREE6_DYCK = "NNEENENNENEE"
