@@ -29,7 +29,7 @@ from .order import (PERM_CAP, TREE_ORACLE_CAP, CapacityError, Permutation,
                     linear_extensions_of_relation)
 from .poly import Polynomial
 from .trees import (EMPTY, BinaryTree, _bracket_vector, _bracket_vectors,
-                    _fold, enumerate_trees)
+                    _fold, _trees_of_size)
 
 
 class IntervalPosetError(ValueError):
@@ -336,17 +336,9 @@ def trees_in_interval(poset: IntervalPoset,
         raise CapacityError(f"interval tree listing capped at n={max_n}")
     lo = _bracket_vector(lower_tree(poset))
     hi = _bracket_vector(upper_tree(poset))
-    return [t for t, v in zip(enumerate_trees(poset.n),
+    return [t for t, v in zip(_trees_of_size(poset.n),
                               _bracket_vectors(poset.n))
             if all(map(le, lo, v)) and all(map(le, v, hi))]
-
-
-def decreasing_components(poset: IntervalPoset) -> int:
-    """Number of connected components of the decreasing forest; equals the
-    lower tree's left border count.  Decreasing closure makes the smaller
-    labels a vertex precedes a chain, so each component has one root: its
-    least label, the only vertex that precedes no smaller label."""
-    return sum(not row & ((1 << i) - 1) for i, row in enumerate(poset.succ))
 
 
 _stat = cache(Polynomial.monomial)  # Polynomial is immutable: share them
@@ -354,7 +346,9 @@ _stat = cache(Polynomial.monomial)  # Polynomial is immutable: share them
 
 def stat_monomial(poset: IntervalPoset) -> Polynomial:
     """The statistic monomial x^(decreasing components) * y^n * b^(vertices
-    with an incoming decreasing relation), read in one pass over the rows."""
+    with an incoming decreasing relation), read in one pass over the rows.
+    A component's root is its least label, the one row with no smaller
+    successor, so x counts the contacts: the lower tree's left border."""
     roots = targets = below = 0  # below: the labels smaller than the row's
     for row in poset.succ:
         if down := row & below:

@@ -138,11 +138,6 @@ class Polynomial:
                            for (ex, ey, eb), c in self._terms.items()
                            if ey == degree})
 
-    def max_x_degree(self) -> int:
-        if not self._terms:
-            raise ValueError("the zero polynomial has no degree")
-        return max(ex for ex, _, _ in self._terms)
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"

@@ -114,15 +114,6 @@ def left_border_count(tree: BinaryTree) -> int:
     return count
 
 
-def right_border_count(tree: BinaryTree) -> int:
-    """Number of nodes on the rightmost spine."""
-    count = 0
-    while tree:
-        count += 1
-        tree = tree.right
-    return count
-
-
 def rotate_right_at(tree: BinaryTree, label: int) -> BinaryTree | None:
     """Right rotation at the node with the given in-order label.
 
@@ -223,14 +214,6 @@ def tamari_cover_edges(n: int) -> list[tuple[int, int]]:
                 edges.append((i, index[tuple(w)]))
     edges.sort()
     return edges
-
-
-def tamari_leq(t: BinaryTree, u: BinaryTree) -> bool:
-    """t <= u in the Tamari order: the bracket vectors (right subtree
-    sizes by label) compare componentwise (Huang and Tamari, 1972)."""
-    if t.size != u.size:
-        raise ValueError("trees must have the same size")
-    return all(a <= b for a, b in zip(_bracket_vector(t), _bracket_vector(u)))
 
 
 def canonical_key(tree: BinaryTree) -> str:

@@ -6,8 +6,9 @@ import random
 from collections import Counter
 from itertools import permutations
 
-from helpers import (path_downset_sizes, path_upsets, sylvester_classes,
-                     tree_downsets, tree_leq_pairs, tree_upsets)
+from helpers import (mirror, path_downset_sizes, path_upsets,
+                     sylvester_classes, tree_downsets, tree_leq_pairs,
+                     tree_upsets)
 from tamari.compose import (compose, decompose, enumerate_interval_posets,
                             initial_interval_sum)
 from tamari.intervalposet import (IntervalPoset, IntervalPosetError,
@@ -21,8 +22,7 @@ from tamari.poly import (ONE, Polynomial, X, bilinear_B, bilinear_B_bivar,
                          chapoton_count, delta, parse_polynomial, phi_series,
                          tamari_poly, tamari_poly_mirror)
 from tamari.trees import (EMPTY, BinaryTree, enumerate_trees, from_dyck,
-                          left_border_count, parse_tree, right_border_count,
-                          rotate_right_at)
+                          left_border_count, parse_tree, rotate_right_at)
 
 TREE6 = parse_tree("[[[_,[_,_]],_],[[_,_],_]]")
 
@@ -81,17 +81,18 @@ def test_criterion_3_counting_theorem_exhaustive():
         downs, ups = tree_downsets(n), tree_upsets(n)
         for t in enumerate_trees(n):
             poly = tamari_poly(t)
-            mirror = tamari_poly_mirror(t)
+            mirror_poly = tamari_poly_mirror(t)
             if poly.subs(x=1).constant() != len(downs[t]):
                 failures += 1
-            if mirror.subs(x=1).constant() != len(ups[t]):
+            if mirror_poly.subs(x=1).constant() != len(ups[t]):
                 failures += 1
             for j in range(n + 2):
                 if poly.coefficient(ex=j) != sum(
                         1 for u in downs[t] if left_border_count(u) == j):
                     failures += 1
-                if mirror.coefficient(ex=j) != sum(
-                        1 for u in ups[t] if right_border_count(u) == j):
+                if mirror_poly.coefficient(ex=j) != sum(
+                        1 for u in ups[t]
+                        if left_border_count(mirror(u)) == j):
                     failures += 1
     report(3, "tree polynomials count lower sets by left border and mirror "
               "polynomials count upper sets by right border (n<=6)",

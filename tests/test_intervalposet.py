@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from helpers import (oracle_trees_in_interval, sylvester_classes,
                      tree_leq_pairs, tree_upsets)
 from tamari.intervalposet import (IntervalPoset, IntervalPosetError,
-                                  dec_forest, decreasing_components,
-                                  inc_forest, interval_contains,
+                                  dec_forest, inc_forest, interval_contains,
                                   intersect, is_decreasing_refinement,
                                   is_increasing_refinement, linear_extensions,
                                   lower_tree, make_interval, stat_monomial,
@@ -360,7 +359,6 @@ def test_stat_monomial_matches_sparse_recount():
             key = sparse_stat(poset)
             mono = stat_monomial(poset)
             assert mono == Polynomial.monomial(1, *key)
-            assert decreasing_components(poset) == key[0]
             # equal statistics give one shared monomial
             assert shared.setdefault(key, mono) is mono
     with pytest.raises(ValueError):

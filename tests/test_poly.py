@@ -1,12 +1,11 @@
 import pytest
 
-from helpers import (chapoton_count_factorial, phi_series_fixed_point,
+from helpers import (chapoton_count_factorial, mirror, phi_series_fixed_point,
                      tree_downsets, tree_upsets)
 from tamari.poly import (ONE, X, Polynomial, bilinear_B, bilinear_B_bivar,
                          chapoton_count, delta, parse_polynomial, phi_series,
                          tamari_poly, tamari_poly_bivar, tamari_poly_mirror)
-from tamari.trees import (EMPTY, enumerate_trees, left_border_count,
-                          parse_tree, right_border_count)
+from tamari.trees import EMPTY, enumerate_trees, left_border_count, parse_tree
 
 TREE6 = parse_tree("[[[_,[_,_]],_],[[_,_],_]]")
 
@@ -129,7 +128,8 @@ def test_tamari_poly_max_degree_coefficient_is_one():
     for n in range(1, 8):
         for t in enumerate_trees(n):
             p = tamari_poly(t)
-            assert p.coefficient(ex=p.max_x_degree()) == 1
+            top = max(ex for (ex, _, _), _ in p.terms())
+            assert p.coefficient(ex=top) == 1
 
 
 def test_tamari_poly_mirror():
@@ -141,7 +141,8 @@ def test_tamari_poly_mirror():
             p = tamari_poly_mirror(t)
             assert p.subs(x=1).constant() == len(ups[t])
             for j in range(n + 2):
-                expected = sum(1 for u in ups[t] if right_border_count(u) == j)
+                expected = sum(1 for u in ups[t]
+                               if left_border_count(mirror(u)) == j)
                 assert p.coefficient(ex=j) == expected
 
 

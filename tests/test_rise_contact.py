@@ -14,11 +14,12 @@ from collections import Counter
 
 import pytest
 
+from helpers import mirror
 from tamari.compose import enumerate_interval_posets
-from tamari.intervalposet import decreasing_components, upper_tree
+from tamari.intervalposet import stat_monomial, upper_tree
 from tamari.mtamari import enumerate_ballot_paths, path_count, phi_m_series
 from tamari.poly import Polynomial, phi_series, tamari_poly
-from tamari.trees import enumerate_trees, right_border_count
+from tamari.trees import enumerate_trees, left_border_count
 
 
 def is_symmetric(joint):
@@ -27,8 +28,9 @@ def is_symmetric(joint):
 
 @pytest.mark.parametrize("n", range(8))
 def test_contacts_and_rise_are_jointly_symmetric(n):
-    joint = Counter((decreasing_components(p), right_border_count(upper_tree(p)))
-                    for p in enumerate_interval_posets(n))
+    joint = Counter((contacts, left_border_count(mirror(upper_tree(p))))
+                    for p in enumerate_interval_posets(n)
+                    for (contacts, _, _), _ in stat_monomial(p).terms())
     assert is_symmetric(joint)
     assert n < 2 or any(a != b for a, b in joint)  # not symmetric term by term
 
@@ -38,7 +40,7 @@ def test_tree_polynomials_by_rise_are_symmetric(n):
     # route B: sum over T of z^rb(T) * B_T(x), with no oracle
     joint = Counter()
     for t in enumerate_trees(n):
-        rise = right_border_count(t)
+        rise = left_border_count(mirror(t))
         for (ex, _, _), count in tamari_poly(t).terms():
             joint[ex, rise] += count
     assert is_symmetric(joint)
@@ -49,7 +51,7 @@ def test_phi_from_counts_by_rise():
     phi = phi_series(8)
     for n in range(9):
         by_rise = sum((Polynomial.monomial(tamari_poly(t).subs(x=1).constant(),
-                                           ex=right_border_count(t))
+                                           ex=left_border_count(mirror(t)))
                        for t in enumerate_trees(n)), Polynomial())
         assert phi.y_coefficient(n) == by_rise, n
 

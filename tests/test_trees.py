@@ -1,33 +1,20 @@
 import pytest
 
-from helpers import rotation_cover_edges, tree_leq_pairs
+from helpers import (left_comb, mirror, right_comb, rotation_cover_edges,
+                     tree_leq_pairs)
 from tamari.compose import enumerate_interval_posets
-from tamari.intervalposet import dec_forest, decreasing_components, lower_tree
+from tamari.intervalposet import dec_forest, lower_tree, stat_monomial
+from tamari.poly import Polynomial
 from tamari.trees import (EMPTY, BinaryTree, _bracket_vector,
                           _bracket_vectors, canonical_key, enumerate_trees,
                           format_tree, format_trees, from_dyck,
-                          left_border_count, parse_tree, right_border_count,
-                          rotate_right_at, tamari_cover_edges,
-                          tamari_covers_up, to_dyck)
+                          left_border_count, parse_tree, rotate_right_at,
+                          tamari_cover_edges, tamari_covers_up, to_dyck)
 
 TREE6 = "[[[_,[_,_]],_],[[_,_],_]]"  # root 4, left subtree {1,2,3}, right {5,6}
 TREE6_DYCK = "NNEENENNENEE"
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
-
-
-def left_comb(n):
-    t = EMPTY
-    for _ in range(n):
-        t = BinaryTree(t, EMPTY)
-    return t
-
-
-def right_comb(n):
-    t = EMPTY
-    for _ in range(n):
-        t = BinaryTree(EMPTY, t)
-    return t
 
 
 def test_size():
@@ -40,8 +27,8 @@ def test_border_counts():
     assert left_border_count(EMPTY) == 0
     assert left_border_count(left_comb(3)) == 3
     assert left_border_count(right_comb(3)) == 1
-    assert right_border_count(right_comb(3)) == 3
-    assert right_border_count(left_comb(3)) == 1
+    assert left_border_count(mirror(right_comb(3))) == 3
+    assert left_border_count(mirror(left_comb(3))) == 1
 
 
 def test_rotate_smallest_cases():
@@ -189,6 +176,9 @@ def test_rotation_preserves_size_and_order():
 def test_left_border_equals_decreasing_components():
     for n in range(7):
         for t in enumerate_trees(n):
-            assert left_border_count(t) == decreasing_components(dec_forest(t))
+            assert stat_monomial(dec_forest(t)).subs(b=1) == \
+                Polynomial.monomial(1, ex=left_border_count(t), ey=n)
         for p in enumerate_interval_posets(n):
-            assert decreasing_components(p) == left_border_count(lower_tree(p))
+            border = left_border_count(lower_tree(p))
+            assert stat_monomial(p).subs(b=1) == \
+                Polynomial.monomial(1, ex=border, ey=n)
