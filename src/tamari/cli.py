@@ -148,9 +148,8 @@ def cmd_interval(args) -> int:
         lines.extend(text.splitlines())
         payload["poset"] = text
     if show_trees:
-        inside = intervalposet.trees_in_interval(
+        literals = intervalposet.interval_literals(
             poset, max_n=_effective_cap(args, order.TREE_ORACLE_CAP))
-        literals = [trees.format_tree(t) for t in inside]
         lines.extend(literals)
         payload["trees"] = literals
     if show_extensions:
@@ -193,8 +192,11 @@ def cmd_lattice(args) -> int:
         labels = trees.format_trees(n)
         edges = trees.tamari_cover_edges(n)
         name, payload = f"tamari_{n}", {"kind": "trees", "n": n}
-    payload.update({"vertices": labels, "edges": [list(e) for e in edges]})
-    _emit(args, _dot(name, labels, edges), payload)
+    if args.json:  # text output is the DOT graph alone
+        payload.update(vertices=labels, edges=[list(e) for e in edges])
+        _emit(args, [], payload)
+    else:
+        _emit(args, _dot(name, labels, edges), {})
     return 0
 
 
@@ -204,8 +206,8 @@ def cmd_phi(args) -> int:
         series = poly.phi_series(args.n)
     else:
         series = mtamari.phi_m_series(args.m, args.n)
-    _emit(args, [str(series)],
-          {"n": args.n, "m": args.m, "series": str(series)})
+    text = str(series)
+    _emit(args, [text], {"n": args.n, "m": args.m, "series": text})
     return 0
 
 
@@ -226,8 +228,9 @@ def cmd_mtamari_verify(args) -> int:
         all_ok &= ok
         verdict = "PASS" if ok else "FAIL"
         lines.append(f"{verdict} {p.to_text()} polynomial={counted} paths={expected}")
-        results.append({"path": p.to_text(), "polynomial_count": counted,
-                        "path_count": expected, "ok": ok})
+        if args.json:
+            results.append({"path": p.to_text(), "polynomial_count": counted,
+                            "path_count": expected, "ok": ok})
     lines.append(f"{'OK' if all_ok else 'FAILED'} {len(paths)} paths checked")
     _emit(args, lines, {"m": m, "n": n, "paths": results, "ok": all_ok})
     return 0 if all_ok else 1

@@ -28,8 +28,8 @@ from operator import le
 from .order import (PERM_CAP, TREE_ORACLE_CAP, CapacityError, Permutation,
                     linear_extensions_of_relation)
 from .poly import Polynomial
-from .trees import (EMPTY, BinaryTree, _bracket_vector, _bracket_vectors,
-                    _fold, _trees_of_size)
+from .trees import (EMPTY, BinaryTree, _bracket_vectors, _fold, _literals,
+                    _trees_of_size)
 
 
 class IntervalPosetError(ValueError):
@@ -327,18 +327,59 @@ def linear_extensions(poset: IntervalPoset,
                                          max_n=max_n)
 
 
+def _end_vectors(poset: IntervalPoset) -> tuple[list[int], list[int]]:
+    """The bracket vectors of the lower and upper trees (right-subtree
+    sizes by 0-based label), read off the rows with no tree built.
+
+    In the upper tree a precedes a larger label b exactly when a lies in
+    b's left subtree, so a's right subtree ends just below the smallest
+    larger label a precedes, or at n.  In the lower tree a larger label b
+    precedes a exactly when b lies in a's right subtree, so that subtree
+    ends at the largest such b: scanning b from n down, each smaller label
+    in b's row that no larger b has claimed takes it."""
+    n, succ = poset.n, poset.succ
+    hi = []
+    for a, row in enumerate(succ, 1):
+        above = row >> a
+        hi.append((above & -above).bit_length() - 1 if above else n - a)
+    lo, assigned = [0] * n, 0
+    for b in range(n, 0, -1):
+        below = succ[b - 1] & ((1 << (b - 1)) - 1) & ~assigned
+        assigned |= below
+        for a in _labels(below):
+            lo[a - 1] = b - a
+    return lo, hi
+
+
+def _interval_positions(poset: IntervalPoset, max_n: int) -> list[int]:
+    """The positions in :func:`~tamari.trees.enumerate_trees` (n) of the
+    trees between the poset's lower and upper trees: those whose bracket
+    vector lies componentwise between the two ends' (Huang and Tamari,
+    1972)."""
+    if poset.n > max_n:
+        raise CapacityError(f"interval tree listing capped at n={max_n}")
+    lo, hi = _end_vectors(poset)
+    return [i for i, v in enumerate(_bracket_vectors(poset.n))
+            if all(map(le, lo, v)) and all(map(le, v, hi))]
+
+
 def trees_in_interval(poset: IntervalPoset,
                       max_n: int = TREE_ORACLE_CAP) -> list[BinaryTree]:
     """All trees between the poset's lower and upper trees, in canonical
-    order: those whose bracket vector lies componentwise between the two
-    trees' vectors (Huang and Tamari, 1972)."""
-    if poset.n > max_n:
-        raise CapacityError(f"interval tree listing capped at n={max_n}")
-    lo = _bracket_vector(lower_tree(poset))
-    hi = _bracket_vector(upper_tree(poset))
-    return [t for t, v in zip(_trees_of_size(poset.n),
-                              _bracket_vectors(poset.n))
-            if all(map(le, lo, v)) and all(map(le, v, hi))]
+    order."""
+    positions = _interval_positions(poset, max_n)  # checks the cap first
+    elements = _trees_of_size(poset.n)
+    return [elements[i] for i in positions]
+
+
+def interval_literals(poset: IntervalPoset,
+                      max_n: int = TREE_ORACLE_CAP) -> list[str]:
+    """The literals of :func:`trees_in_interval` (poset), in that order,
+    taken from the table of literals of the poset's size, so no tree is
+    formatted."""
+    positions = _interval_positions(poset, max_n)  # checks the cap first
+    literals = _literals(poset.n)
+    return [literals[i] for i in positions]
 
 
 _stat = cache(Polynomial.monomial)  # Polynomial is immutable: share them

@@ -15,7 +15,8 @@ postfix code (:func:`_postfix`), so trees of any depth parse, print and
 fold.  The text parsers check their input and yield that code
 (:func:`_parse_code`), which a caller can fold into a tree or straight
 into a value.  The trees of one size share their subtrees, so a fold of
-them all takes one step per tree (:func:`_shared_fold`).  Only the
+them all takes one step per tree (:func:`_shared_fold`); the bracket
+vectors and literals of each size are folded once per process.  Only the
 size-capped oracles and enumerators recurse.
 """
 
@@ -144,20 +145,7 @@ def tamari_covers_up(tree: BinaryTree) -> list[BinaryTree]:
     return [u for u in rotated if u is not None]
 
 
-def _bracket_vector(tree: BinaryTree) -> list[int]:
-    """The size of each node's right subtree, by in-order label."""
-    sizes = [0] * tree.size
-    stack = [(tree, 0)]  # a subtree and the 0-based label of its first node
-    while stack:
-        t, lo = stack.pop()
-        if t:
-            root = lo + t.left.size
-            sizes[root] = t.right.size
-            stack += ((t.left, lo), (t.right, root + 1))
-    return sizes
-
-
-def _shared_fold(n: int, leaf, combine) -> list:
+def _shared_fold(n: int, leaf, combine) -> tuple:
     """The fold of each tree of :func:`enumerate_trees` (n), in that order:
     ``leaf`` for the empty tree and ``combine`` of the values of the two
     subtrees for a node.  A tree of size k is a node on two trees of
@@ -169,21 +157,30 @@ def _shared_fold(n: int, leaf, combine) -> list:
     for k in range(1, n + 1):
         for t in _trees_of_size(k):
             values[id(t)] = combine(values[id(t.left)], values[id(t.right)])
-    return [values[id(t)] for t in elements]
+    return tuple([values[id(t)] for t in elements])
 
 
-def _bracket_vectors(n: int) -> list[tuple[int, ...]]:
+@cache
+def _bracket_vectors(n: int) -> tuple[tuple[int, ...], ...]:
     """The bracket vectors of :func:`enumerate_trees` (n), in that order,
-    as :func:`_bracket_vector` gives them: a node's vector is its left
-    subtree's, then the size of its right subtree (its vector's length),
-    then its right subtree's."""
+    built once per size: each tree's right-subtree sizes by in-order label.
+    A node's vector is its left subtree's, then the size of its right
+    subtree (its vector's length), then its right subtree's."""
     return _shared_fold(n, (), lambda left, right: left + (len(right),) + right)
+
+
+@cache
+def _literals(n: int) -> tuple[str, ...]:
+    """The literals of :func:`enumerate_trees` (n), in that order, built
+    once per size: each is :func:`format_tree` of its tree, joined from its
+    subtrees' literals."""
+    return _shared_fold(n, "_", _node_literal)
 
 
 def format_trees(n: int) -> list[str]:
     """The literals of :func:`enumerate_trees` (n), in that order: each is
-    :func:`format_tree` of its tree, joined from its subtrees' literals."""
-    return _shared_fold(n, "_", _node_literal)
+    :func:`format_tree` of its tree."""
+    return list(_literals(n))
 
 
 def tamari_cover_edges(n: int) -> list[tuple[int, int]]:

@@ -47,6 +47,20 @@ def rotation_cover_edges(n: int) -> list[tuple[int, int]]:
                   for t in elements for u in tamari_covers_up(t))
 
 
+def bracket_vector(tree: BinaryTree) -> list[int]:
+    """The size of each node's right subtree, by 0-based in-order label,
+    read by walking one tree of any depth."""
+    sizes = [0] * tree.size
+    stack = [(tree, 0)]  # a subtree and the 0-based label of its first node
+    while stack:
+        t, lo = stack.pop()
+        if t:
+            root = lo + t.left.size
+            sizes[root] = t.right.size
+            stack += ((t.left, lo), (t.right, root + 1))
+    return sizes
+
+
 def oracle_trees_in_interval(poset) -> list[BinaryTree]:
     """The trees of an interval-poset's interval in canonical order, by
     rotation closure from its lower tree and to its upper tree."""

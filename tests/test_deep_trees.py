@@ -6,17 +6,21 @@ recursed once per level.
 """
 
 import json
+import random
 import sys
 
 import pytest
 
-from helpers import left_comb, right_comb
+from helpers import bracket_vector, left_comb, right_comb
 from tamari.cli import main
 from tamari.compose import compose, decompose
-from tamari.intervalposet import (dec_forest, inc_forest, lower_tree,
-                                  make_interval, upper_tree)
+from tamari.intervalposet import (_end_vectors, dec_forest, inc_forest,
+                                  interval_literals, lower_tree,
+                                  make_interval, trees_in_interval,
+                                  upper_tree)
 from tamari.mtamari import (LEAF, BallotPath, MAryTree, mary_tamari_poly,
                             mary_to_path_prefix, path_to_mary_prefix)
+from tamari.order import CapacityError
 from tamari.poly import (Polynomial, tamari_poly, tamari_poly_bivar,
                          tamari_poly_mirror)
 from tamari.trees import (EMPTY, BinaryTree, format_tree, from_dyck,
@@ -122,6 +126,36 @@ def test_deep_intervals():
     assert make_interval(left, left).to_text() == f"n={DEPTH}\n{chain}"
     assert make_interval(left, right).to_text() == f"n={DEPTH}\n"
     assert make_interval(right, left) is None
+
+
+def random_tree(rng, n):
+    """A uniform tree of n nodes: the rotation of a shuffled word of n N and
+    n + 1 E that starts after its first lowest prefix (the cycle lemma) is
+    a Dyck word followed by one E."""
+    steps = ["N"] * n + ["E"] * (n + 1)
+    rng.shuffle(steps)
+    height, low, start = 0, 0, 0
+    for i, step in enumerate(steps):
+        height += 1 if step == "N" else -1
+        if height < low:
+            low, start = height, i + 1
+    return from_dyck("".join(steps[start:] + steps[:start])[:-1])
+
+
+def test_deep_end_vectors():
+    left, right = left_comb(DEPTH), right_comb(DEPTH)
+    tree = random_tree(random.Random(23), DEPTH)
+    for lower, upper in ((left, right), (left, left), (right, right),
+                         (tree, tree)):
+        assert _end_vectors(make_interval(lower, upper)) == (
+            bracket_vector(lower), bracket_vector(upper))
+
+
+def test_deep_listings_are_refused_before_any_enumeration():
+    whole = make_interval(left_comb(DEPTH), right_comb(DEPTH))
+    for listing in (trees_in_interval, interval_literals):
+        with pytest.raises(CapacityError, match="capped at n=8"):
+            listing(whole)
 
 
 def test_deep_decompose():

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (oracle_trees_in_interval, sylvester_classes,
-                     tree_leq_pairs, tree_upsets)
+from helpers import (bracket_vector, oracle_trees_in_interval,
+                     sylvester_classes, tree_leq_pairs, tree_upsets)
 from tamari.intervalposet import (IntervalPoset, IntervalPosetError,
-                                  dec_forest, inc_forest, interval_contains,
+                                  _end_vectors, dec_forest, inc_forest,
+                                  interval_contains, interval_literals,
                                   intersect, is_decreasing_refinement,
                                   is_increasing_refinement, linear_extensions,
                                   lower_tree, make_interval, stat_monomial,
                                   trees_in_interval, upper_tree, validate)
 from tamari.order import CapacityError, coinv, format_permutation, weak_leq
 from tamari.poly import Polynomial, chapoton_count, parse_polynomial
-from tamari.trees import enumerate_trees, parse_tree
+from tamari.trees import enumerate_trees, format_tree, parse_tree
 
 PAIR4_LOWER = parse_tree("[[[_,[_,_]],_],_]")
 PAIR4_UPPER = parse_tree("[_,[[_,_],[_,_]]]")
@@ -334,6 +335,32 @@ def test_trees_in_interval_is_the_rotation_closure_filter():
 def test_large_trees_in_interval_is_the_rotation_closure_filter(n, data):
     poset = data.draw(st.sampled_from(all_posets(n)))
     assert trees_in_interval(poset) == oracle_trees_in_interval(poset)
+
+
+def test_end_vectors_are_the_end_trees_vectors():
+    posets = [p for n in range(8) for p in all_posets(n)]
+    assert len(posets) == 19980
+    for poset in posets:
+        assert _end_vectors(poset) == (bracket_vector(lower_tree(poset)),
+                                       bracket_vector(upper_tree(poset)))
+
+
+def test_interval_literals_format_the_listed_trees():
+    for n in range(7):
+        for poset in all_posets(n):
+            assert interval_literals(poset) == [
+                format_tree(t) for t in trees_in_interval(poset)]
+
+
+@pytest.mark.parametrize("n, caps, cap", [
+    (9, {}, 8), (4, {"max_n": 3}, 3), (1, {"max_n": 0}, 0)])
+def test_both_listings_refuse_the_same_sizes(n, caps, cap):
+    messages = set()
+    for listing in (trees_in_interval, interval_literals):
+        with pytest.raises(CapacityError) as refused:
+            listing(IntervalPoset(n), **caps)
+        messages.add(str(refused.value))
+    assert messages == {f"interval tree listing capped at n={cap}"}
 
 
 def test_stat_monomial():

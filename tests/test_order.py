@@ -3,11 +3,11 @@ from operator import le
 
 import pytest
 
-from helpers import sylvester_classes, tree_upsets
+from helpers import bracket_vector, sylvester_classes, tree_upsets
 from tamari.order import (CapacityError, coinv, count_intervals_bruteforce,
                           format_permutation, parse_permutation,
                           sylvester_class, tamari_leq_oracle, weak_leq)
-from tamari.trees import _bracket_vector, enumerate_trees, parse_tree
+from tamari.trees import enumerate_trees, parse_tree
 
 LEFT_COMB_4 = parse_tree("[[[[_,_],_],_],_]")
 RIGHT_COMB_4 = parse_tree("[_,[_,[_,[_,_]]]]")
@@ -79,7 +79,7 @@ def test_bracket_vectors_match_oracle():
         trees = enumerate_trees(n)
         for t in trees:
             for u in trees:
-                assert all(map(le, _bracket_vector(t), _bracket_vector(u))) \
+                assert all(map(le, bracket_vector(t), bracket_vector(u))) \
                     == tamari_leq_oracle(t, u)
 
 

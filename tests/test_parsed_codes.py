@@ -9,7 +9,9 @@ tree object, nor ``mtamari-verify`` a polynomial.  ``lattice`` reads its
 covers off bracket vectors (``trees.tamari_cover_edges``), so it builds no
 rotated tree either, and its labels off the enumeration's shared subtrees
 (``trees.format_trees``), so it formats no single tree; ``interval
---trees`` compares bracket vectors, so it closes no rotations.
+--trees`` compares bracket vectors, the ends' read off the poset rows, and
+takes its literals from the same per-size table, so it closes no
+rotations, builds no end tree and formats no listed tree.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import left_comb, mirror, random_ballot, right_comb
-from tamari import mtamari, order, trees
+from tamari import intervalposet, mtamari, order, trees
 from tamari.cli import main
 from tamari.poly import (Polynomial, _chain_poly, _root_bound, tamari_poly,
                          tamari_poly_bivar, tamari_poly_mirror,
@@ -200,9 +202,9 @@ def test_the_spy_sees_the_commands_calls(spied):
     spy, calls = spied
     spy(trees, "format_tree")
     spy(order, "tamari_upset")
-    code, out = run("interval", "[[_,_],_]", "[_,[_,_]]", "--trees")
+    code, out = run("interval", "[[_,_],_]", "[_,[_,_]]", "--json")
     order.tamari_leq_oracle(parse_tree("[[_,_],_]"), parse_tree("[_,[_,_]]"))
-    assert code == 0 and out == "[_,[_,_]]\n[[_,_],_]\n"
+    assert code == 0 and json.loads(out)["lower"] == "[[_,_],_]"
     assert "format_tree" in calls and "tamari_upset" in calls
 
 
@@ -220,11 +222,30 @@ def test_lattice_command_formats_no_single_tree(spied, n):
     ("[[[_,_],_],_]", "[_,[_,[_,_]]]"),
     ("NENENENENENENENE", "NNNNNNNNEEEEEEEE")])
 def test_interval_trees_close_no_rotations(spied, lower, upper):
+    """The listing reads its literals off the per-size table and the ends'
+    vectors off the poset rows: no rotation, no end tree, no formatting
+    beyond the two ends that ``--json`` prints."""
     spy, calls = spied
     spy(order, "tamari_upset")
-    code, out = run("interval", lower, upper, "--trees", "--json")
-    assert code == 0 and json.loads(out)["trees"]
+    spy(trees, "format_tree")
+    spy(intervalposet, "lower_tree")
+    spy(intervalposet, "upper_tree")
+    code, text = run("interval", lower, upper, "--trees")
+    assert code == 0 and text.splitlines()
     assert calls == []
+    code, out = run("interval", lower, upper, "--trees", "--json")
+    assert code == 0 and json.loads(out)["trees"] == text.splitlines()
+    assert calls == ["format_tree", "format_tree"]
+
+
+def test_a_changed_literal_list_leaves_the_table_alone():
+    listed = trees.format_trees(3)
+    expected = list(listed)
+    listed[0] = "[_,_]"
+    listed.append("_")
+    assert trees.format_trees(3) == expected
+    code, out = run("interval", "[[[_,_],_],_]", "[_,[_,[_,_]]]", "--trees")
+    assert code == 0 and out.splitlines() == expected
 
 
 @pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 3)])

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (compose_sparse, mary_poly_sparse, mirror, tree_poly_sparse,
-                     validate_sparse)
+from helpers import (bracket_vector, compose_sparse, mary_poly_sparse, mirror,
+                     tree_poly_sparse, validate_sparse)
 from tamari.compose import compose, decompose
 from tamari.intervalposet import (IntervalPosetError, dec_forest, inc_forest,
                                   lower_tree, make_interval, upper_tree,
@@ -18,8 +18,7 @@ from tamari.mtamari import LEAF, MAryTree, _mary_children, mary_tamari_poly
 from tamari.poly import (B, ONE, Polynomial, X, _sized_fold, _to_polynomial,
                          delta, tamari_poly, tamari_poly_bivar,
                          tamari_poly_mirror)
-from tamari.trees import (EMPTY, BinaryTree, _bracket_vector, _postfix,
-                          rotate_right_at)
+from tamari.trees import EMPTY, BinaryTree, _postfix, rotate_right_at
 
 
 # --- interval-poset axiom fuzzing -----------------------------------------
@@ -267,9 +266,9 @@ def test_bracket_vectors_agree_with_make_interval(tree, data):
         label = data.draw(st.integers(1, upper.size))
         upper = rotate_right_at(upper, label) or upper
     other = data.draw(random_trees(min_size=tree.size, max_size=tree.size))
-    assert all(map(le, _bracket_vector(tree), _bracket_vector(upper)))
+    assert all(map(le, bracket_vector(tree), bracket_vector(upper)))
     for t, u in ((tree, upper), (upper, tree), (tree, other), (other, tree)):
-        assert all(map(le, _bracket_vector(t), _bracket_vector(u))) \
+        assert all(map(le, bracket_vector(t), bracket_vector(u))) \
             == (make_interval(t, u) is not None)
 
 

@@ -1,15 +1,15 @@
 import pytest
 
-from helpers import (left_comb, mirror, right_comb, rotation_cover_edges,
-                     tree_leq_pairs)
+from helpers import (bracket_vector, left_comb, mirror, right_comb,
+                     rotation_cover_edges, tree_leq_pairs)
 from tamari.compose import enumerate_interval_posets
 from tamari.intervalposet import dec_forest, lower_tree, stat_monomial
 from tamari.poly import Polynomial
-from tamari.trees import (EMPTY, BinaryTree, _bracket_vector,
-                          _bracket_vectors, canonical_key, enumerate_trees,
-                          format_tree, format_trees, from_dyck,
-                          left_border_count, parse_tree, rotate_right_at,
-                          tamari_cover_edges, tamari_covers_up, to_dyck)
+from tamari.trees import (EMPTY, BinaryTree, _bracket_vectors, canonical_key,
+                          enumerate_trees, format_tree, format_trees,
+                          from_dyck, left_border_count, parse_tree,
+                          rotate_right_at, tamari_cover_edges,
+                          tamari_covers_up, to_dyck)
 
 TREE6 = "[[[_,[_,_]],_],[[_,_],_]]"  # root 4, left subtree {1,2,3}, right {5,6}
 TREE6_DYCK = "NNEENENNENEE"
@@ -64,8 +64,8 @@ def test_size4_cover_edge_total():
 
 @pytest.mark.parametrize("n", range(9))
 def test_bracket_vector_covers_are_the_rotations(n):
-    assert _bracket_vectors(n) == [tuple(_bracket_vector(t))
-                                   for t in enumerate_trees(n)]
+    assert _bracket_vectors(n) == tuple(tuple(bracket_vector(t))
+                                        for t in enumerate_trees(n))
     edges = tamari_cover_edges(n)
     assert edges == rotation_cover_edges(n)
     assert len(edges) == max(n - 1, 0) * CATALAN[n] // 2
