@@ -8,8 +8,9 @@ is how many of I2's decreasing-forest roots v1 < v2 < ... hang below the new
 vertex, and the absorbed roots must form a prefix of that list, so a poset
 with m roots contributes m+1 terms.
 
-Enumeration runs this recursion on packed ints and builds
-:class:`IntervalPoset` objects only for its result.  A poset of size n is
+Enumeration runs this recursion on packed ints and builds posets, each
+the tuple of its rows (:class:`IntervalPoset`), only for its result, one C
+call apiece from the rows it unpacks.  A poset of size n is
 packed at the width W, the smallest of 8, 16, 32 and 64 that holds n: the
 pair (a, b) sits at bit W*W - (a-1)*W - b, so row 1 is on top and each row
 fills a W-bit slot bit-reversed.  Relabelling every vertex up by s moves
@@ -36,7 +37,7 @@ from functools import cache
 from itertools import chain
 from struct import Struct
 
-from .intervalposet import IntervalPoset, _labels
+from .intervalposet import IntervalPoset, _labels, _poset
 from .trees import BinaryTree, _fold, _postfix
 
 _WIDTHS = (8, 16, 32, 64)
@@ -51,18 +52,17 @@ def compose(i1: IntervalPoset, i2: IntervalPoset) -> list[IntervalPoset]:
     label between them does, by decreasing closure.  So each term is the
     last one with the new vertex ORed into one more run of rows.
     """
-    k1 = i1.n
-    n = k1 + i2.n + 1
+    k1 = len(i1)
     new = 1 << k1  # the new vertex k1 + 1
-    rows = ([row | new for row in i1.succ] + [0]
-            + [row << (k1 + 1) for row in i2.succ])
+    rows = ([row | new for row in i1] + [0]
+            + [row << (k1 + 1) for row in i2])
     out, below = [], 0  # below: I2's labels under the row's
-    for w, row in enumerate(i2.succ, k1 + 1):
+    for w, row in enumerate(i2, k1 + 1):
         if not row & below:  # a root: the rows so far are one term
-            out.append(IntervalPoset._trusted(n, tuple(rows)))
+            out.append(_poset(rows))
         rows[w] |= new
         below = below << 1 | 1
-    out.append(IntervalPoset._trusted(n, tuple(rows)))
+    out.append(_poset(rows))
     return out
 
 
@@ -75,15 +75,12 @@ def decompose(poset: IntervalPoset) -> tuple[IntervalPoset, IntervalPoset]:
     left subtree is exactly 1..k-1.  The parts are the label ranges on both
     sides of k, the right one shifted down to start at 1.
     """
-    if poset.n == 0:
+    if len(poset) == 0:
         raise ValueError("cannot decompose the empty poset")
-    succ = poset.succ
-    k = (succ[0] | 1).bit_length()
+    k = (poset[0] | 1).bit_length()
     low = (1 << (k - 1)) - 1
-    left = tuple([row & low for row in succ[:k - 1]])
-    right = tuple([row >> k for row in succ[k:]])
-    return (IntervalPoset._trusted(k - 1, left),
-            IntervalPoset._trusted(poset.n - k, right))
+    return (_poset([row & low for row in poset[:k - 1]]),
+            _poset([row >> k for row in poset[k:]]))
 
 
 def _width(n: int) -> int:
@@ -164,7 +161,7 @@ def _top_level(n: int, width: int):
 
 def _decode_sorted(n: int, width: int, parts) -> list[IntervalPoset]:
     """The size-n posets packed at ``width`` in the lists ``parts``, as
-    objects in canonical order: one int sort of their keys, and each key
+    posets in canonical order: one int sort of their keys, and each key
     decoded back in place.  Bit-reversing each of R's big-endian bytes
     turns every row's slot into its successor mask as a little-endian
     word."""
@@ -174,12 +171,11 @@ def _decode_sorted(n: int, width: int, parts) -> list[IntervalPoset]:
             - low for part in parts for packed in part]
     keys.sort()
     unpack = Struct(f"<{n}{'BHIQ'[_WIDTHS.index(width)]}").unpack_from
-    trusted, below = IntervalPoset._trusted, (1 << shift) - 1
+    below = (1 << shift) - 1
     for i, key in enumerate(keys):
         low = -key & below
         packed = (full ^ (key + low) >> shift) & -low
-        rows = unpack(packed.to_bytes(size).translate(_REVERSED))
-        keys[i] = trusted(n, rows)
+        keys[i] = _poset(unpack(packed.to_bytes(size).translate(_REVERSED)))
     return keys
 
 
@@ -206,6 +202,6 @@ def count_interval_posets(n: int) -> int:
 def initial_interval_sum(tree: BinaryTree) -> list[IntervalPoset]:
     """All interval-posets whose increasing part is the increasing forest
     of ``tree``: one poset per tree below it in the Tamari order."""
-    return _fold(_postfix(tree), [IntervalPoset._trusted(0, ())],
+    return _fold(_postfix(tree), [_poset(())],
                  lambda left, right: [p for i1 in left for i2 in right
                                       for p in compose(i1, i2)])

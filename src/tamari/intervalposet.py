@@ -12,17 +12,18 @@ tree (the lower end of the interval) and the increasing relations that of
 another (the upper end).  The interval [T, T'] is the union of the decreasing
 forest of T and the increasing forest of T'.
 
-A poset is stored as one closed successor mask per vertex: bit b-1 of
-``succ[a-1]`` is set iff a prec b.  Arbitrary relations are closed by a
-Warshall pass and checked by one mask test per relation; a union of two
-forests needs one test at each vertex's two nearest successors.  The text
-format serializes the transitive reduction.
+A poset is the tuple of its rows, one closed successor mask per vertex:
+bit b-1 of ``p[a-1]`` is set iff a prec b, and its size is ``len(p)``.
+Arbitrary relations are closed by a Warshall pass and checked by one mask
+test per relation; a union of two forests needs one test at each vertex's
+two nearest successors.  The text format serializes the transitive
+reduction.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cache
+from functools import cache, partial
 from operator import le
 
 from .order import (PERM_CAP, TREE_ORACLE_CAP, CapacityError, Permutation,
@@ -67,50 +68,44 @@ def _through_nearest(succ, a: int) -> int:
     return implied
 
 
-class IntervalPoset:
-    """Immutable interval-poset with transitively closed successor masks."""
+class IntervalPoset(tuple):
+    """Immutable interval-poset: the tuple of its closed successor masks,
+    bit b-1 of ``p[a-1]`` set iff a prec b.  Equal only to a poset with the
+    same rows (never to a plain tuple), unordered, and true even when
+    empty: test emptiness with ``len``."""
 
-    __slots__ = ("n", "succ")
+    __slots__ = ()
 
-    def __init__(self, n: int, relations=()):
-        checked = validate(n, relations)
-        self.n = checked.n
-        self.succ = checked.succ
+    def __new__(cls, n: int, relations=()):
+        return validate(n, relations)
 
-    @classmethod
-    def _trusted(cls, n: int, succ: tuple[int, ...]) -> IntervalPoset:
-        # internal: the masks must already be closed and axiom-clean
-        poset = object.__new__(cls)
-        poset.n = n
-        poset.succ = succ
-        return poset
+    n = property(len)
 
     @property
     def relations(self) -> frozenset[tuple[int, int]]:
         """Every (a, b) with a prec b, derived from the masks."""
-        return frozenset((a, b) for a, row in enumerate(self.succ, 1)
+        return frozenset((a, b) for a, row in enumerate(self, 1)
                          for b in _labels(row))
 
     def prec(self, a: int, b: int) -> bool:
-        return (1 <= a <= self.n and 1 <= b <= self.n
-                and bool(self.succ[a - 1] >> (b - 1) & 1))
+        return (1 <= a <= len(self) and 1 <= b <= len(self)
+                and bool(self[a - 1] >> (b - 1) & 1))
 
     def increasing_relations(self) -> set[tuple[int, int]]:
-        return {(a, b) for a, row in enumerate(self.succ, 1)
+        return {(a, b) for a, row in enumerate(self, 1)
                 for b in _labels(row >> a << a)}
 
     def decreasing_relations(self) -> set[tuple[int, int]]:
-        return {(a, b) for a, row in enumerate(self.succ, 1)
+        return {(a, b) for a, row in enumerate(self, 1)
                 for b in _labels(row & _span(1, a - 1))}
 
     def covers(self) -> list[tuple[int, int]]:
         """Transitive reduction, sorted by (a, b)."""
-        succ = self.succ
-        return [(a, b) for a, row in enumerate(succ, 1)
-                for b in _labels(row & ~_through_nearest(succ, a))]
+        return [(a, b) for a, row in enumerate(self, 1)
+                for b in _labels(row & ~_through_nearest(self, a))]
 
     def to_text(self) -> str:
-        header = f"n={self.n}"
+        header = f"n={len(self)}"
         body = ",".join(f"{a}<{b}" for a, b in self.covers())
         return f"{header}\n{body}"
 
@@ -136,15 +131,22 @@ class IntervalPoset:
         return cls(int(header[1]), pairs)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, IntervalPoset):
-            return NotImplemented
-        return self.n == other.n and self.succ == other.succ
+        return isinstance(other, IntervalPoset) and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.succ))
+    __hash__ = tuple.__hash__
+    # as for any object: != negates ==, and there is no order
+    __ne__, __lt__, __le__ = object.__ne__, object.__lt__, object.__le__
+    __gt__, __ge__ = object.__gt__, object.__ge__
+
+    def __bool__(self) -> bool:
+        return True
 
     def __repr__(self) -> str:
         return f"<IntervalPoset {self.to_text().replace(chr(10), ' ')}>"
+
+
+# builds a poset from rows already closed and axiom-clean, in one C call
+_poset = partial(tuple.__new__, IntervalPoset)
 
 
 def _close_and_check(n: int, succ: list[int]) -> IntervalPoset:
@@ -175,7 +177,7 @@ def _close_and_check(n: int, succ: list[int]) -> IntervalPoset:
                 raise IntervalPosetError(
                     f"{axiom} violated: {p}<{q} needs {b}<{q}, "
                     f"witness {witness}", axiom, witness)
-    return IntervalPoset._trusted(n, tuple(succ))
+    return _poset(succ)
 
 
 def validate(n: int, relations) -> IntervalPoset:
@@ -218,14 +220,12 @@ def _forest_masks(tree: BinaryTree, increasing: bool) -> list[int]:
 def inc_forest(tree: BinaryTree) -> IntervalPoset:
     """Increasing part of the tree's BST poset: a prec b iff a < b and a
     lies in the subtree rooted at b."""
-    return IntervalPoset._trusted(
-        tree.size, tuple(_forest_masks(tree, increasing=True)))
+    return _poset(_forest_masks(tree, increasing=True))
 
 
 def dec_forest(tree: BinaryTree) -> IntervalPoset:
     """Decreasing part: b prec a iff b > a and b lies in a's subtree."""
-    return IntervalPoset._trusted(
-        tree.size, tuple(_forest_masks(tree, increasing=False)))
+    return _poset(_forest_masks(tree, increasing=False))
 
 
 def make_interval(lower: BinaryTree, upper: BinaryTree) -> IntervalPoset | None:
@@ -246,7 +246,7 @@ def make_interval(lower: BinaryTree, upper: BinaryTree) -> IntervalPoset | None:
                                   _forest_masks(upper, increasing=True))]
     if any(_through_nearest(succ, v) & ~row for v, row in enumerate(succ, 1)):
         return None
-    return IntervalPoset._trusted(lower.size, tuple(succ))
+    return _poset(succ)
 
 
 def _forest_tree(poset: IntervalPoset, increasing: bool) -> BinaryTree:
@@ -257,18 +257,15 @@ def _forest_tree(poset: IntervalPoset, increasing: bool) -> BinaryTree:
     Splitting ranges on a stack, right half popped first, meets the nodes
     in reversed postorder, so the tree is built from that reading.
     """
-    succ = poset.succ
-    ranges, code = [(1, poset.n)], []
+    ranges, code = [(1, len(poset))], []
     while ranges:
         lo, hi = ranges.pop()
         code.append(2 if lo <= hi else 0)
         if lo > hi:
             continue
-        if increasing:
-            root = ((succ[lo - 1] | 1 << (lo - 1)) & _span(lo, hi)).bit_length()
-        else:
-            row = (succ[hi - 1] | 1 << (hi - 1)) & _span(lo, hi)
-            root = (row & -row).bit_length()
+        end = lo if increasing else hi
+        row = (poset[end - 1] | 1 << (end - 1)) & _span(lo, hi)
+        root = row.bit_length() if increasing else (row & -row).bit_length()
         ranges += ((lo, root - 1), (root + 1, hi))
     return _fold(reversed(code), EMPTY, BinaryTree)
 
@@ -285,10 +282,10 @@ def upper_tree(poset: IntervalPoset) -> BinaryTree:
 
 def intersect(i1: IntervalPoset, i2: IntervalPoset) -> IntervalPoset | None:
     """Interval intersection: union of relations, or None when empty."""
-    if i1.n != i2.n:
+    if len(i1) != len(i2):
         raise ValueError("posets must have the same size")
     try:
-        return _close_and_check(i1.n, [a | b for a, b in zip(i1.succ, i2.succ)])
+        return _close_and_check(len(i1), [a | b for a, b in zip(i1, i2)])
     except IntervalPosetError:
         return None
 
@@ -299,31 +296,33 @@ def interval_contains(outer: IntervalPoset, inner: IntervalPoset) -> bool:
     The smaller interval carries the larger relation set, so this is the
     subset test relations(outer) <= relations(inner).
     """
-    if outer.n != inner.n:
+    if len(outer) != len(inner):
         raise ValueError("posets must have the same size")
-    return not any(o & ~i for o, i in zip(outer.succ, inner.succ))
+    return not any(o & ~i for o, i in zip(outer, inner))
 
 
 def is_decreasing_refinement(base: IntervalPoset, refined: IntervalPoset) -> bool:
     """All of base's relations hold in refined and every new relation is
     decreasing; equivalently the two intervals share their upper tree and
-    refined's lower tree is weakly higher."""
-    return (interval_contains(base, refined)
-            and refined.increasing_relations() == base.increasing_relations())
+    refined's lower tree is weakly higher.  Once base's rows are contained
+    in refined's, the XOR of the two rows of a holds a's new relations."""
+    return interval_contains(base, refined) and not any(
+        (b ^ r) >> a for a, (b, r) in enumerate(zip(base, refined), 1))
 
 
 def is_increasing_refinement(base: IntervalPoset, refined: IntervalPoset) -> bool:
     """Mirror of :func:`is_decreasing_refinement`: new relations increasing,
     shared lower tree, weakly lower upper tree."""
-    return (interval_contains(base, refined)
-            and refined.decreasing_relations() == base.decreasing_relations())
+    return interval_contains(base, refined) and not any(
+        (b ^ r) & _span(1, a - 1)
+        for a, (b, r) in enumerate(zip(base, refined), 1))
 
 
 def linear_extensions(poset: IntervalPoset,
                       max_n: int = PERM_CAP) -> list[Permutation]:
     """All permutations compatible with the poset, in lexicographic order
     (capped at size 7)."""
-    return linear_extensions_of_relation(poset.n, poset.relations,
+    return linear_extensions_of_relation(len(poset), poset.relations,
                                          max_n=max_n)
 
 
@@ -337,14 +336,13 @@ def _end_vectors(poset: IntervalPoset) -> tuple[list[int], list[int]]:
     precedes a exactly when b lies in a's right subtree, so that subtree
     ends at the largest such b: scanning b from n down, each smaller label
     in b's row that no larger b has claimed takes it."""
-    n, succ = poset.n, poset.succ
-    hi = []
-    for a, row in enumerate(succ, 1):
+    n, hi = len(poset), []
+    for a, row in enumerate(poset, 1):
         above = row >> a
         hi.append((above & -above).bit_length() - 1 if above else n - a)
     lo, assigned = [0] * n, 0
     for b in range(n, 0, -1):
-        below = succ[b - 1] & ((1 << (b - 1)) - 1) & ~assigned
+        below = poset[b - 1] & ((1 << (b - 1)) - 1) & ~assigned
         assigned |= below
         for a in _labels(below):
             lo[a - 1] = b - a
@@ -356,10 +354,10 @@ def _interval_positions(poset: IntervalPoset, max_n: int) -> list[int]:
     trees between the poset's lower and upper trees: those whose bracket
     vector lies componentwise between the two ends' (Huang and Tamari,
     1972)."""
-    if poset.n > max_n:
+    if len(poset) > max_n:
         raise CapacityError(f"interval tree listing capped at n={max_n}")
     lo, hi = _end_vectors(poset)
-    return [i for i, v in enumerate(_bracket_vectors(poset.n))
+    return [i for i, v in enumerate(_bracket_vectors(len(poset)))
             if all(map(le, lo, v)) and all(map(le, v, hi))]
 
 
@@ -368,7 +366,7 @@ def trees_in_interval(poset: IntervalPoset,
     """All trees between the poset's lower and upper trees, in canonical
     order."""
     positions = _interval_positions(poset, max_n)  # checks the cap first
-    elements = _trees_of_size(poset.n)
+    elements = _trees_of_size(len(poset))
     return [elements[i] for i in positions]
 
 
@@ -378,7 +376,7 @@ def interval_literals(poset: IntervalPoset,
     taken from the table of literals of the poset's size, so no tree is
     formatted."""
     positions = _interval_positions(poset, max_n)  # checks the cap first
-    literals = _literals(poset.n)
+    literals = _literals(len(poset))
     return [literals[i] for i in positions]
 
 
@@ -391,10 +389,10 @@ def stat_monomial(poset: IntervalPoset) -> Polynomial:
     A component's root is its least label, the one row with no smaller
     successor, so x counts the contacts: the lower tree's left border."""
     roots = targets = below = 0  # below: the labels smaller than the row's
-    for row in poset.succ:
+    for row in poset:
         if down := row & below:
             targets |= down
         else:
             roots += 1
         below = below << 1 | 1
-    return _stat(1, roots, poset.n, targets.bit_count())
+    return _stat(1, roots, len(poset), targets.bit_count())

@@ -324,14 +324,14 @@ def text_tamari_poly(text: str, variant: str = "standard") -> Polynomial:
 
 
 # _chain_fold takes the sized fold when the bound on its values has more than
-# _SIZED_FOLD_BITS bits for each product a node forms (one per child but the
-# last), or half that on the b-refined fold, whose products cost more: the
-# sized fold pays a fixed cost per product to narrow it.  On a 2-core x86_64
-# machine (Python 3.11) the two folds break even on random binary trees of
-# 105-110 nodes (206-216 bits), b-refined trees of 55-60 nodes (108-116
-# bits) and paths of slope 2 of about 145 nodes (400 bits); on random
-# 300-node trees the sized fold takes about 0.75 of the time of one width
-# from the root's factorial moments.
+# _SIZED_FOLD_BITS bits on a binary tree, half that on the b-refined fold,
+# whose products cost more, and 1.5 times that on a path of slope 2 or more:
+# the sized fold pays a fixed cost per product to narrow it.  On a 2-core
+# x86_64 machine (Python 3.11) the folds break even on random binary trees
+# of 105-110 nodes (206-216 bits), b-refined trees of 55-60 (108-116 bits)
+# and random paths near 105 nodes whatever the slope: 290-300 bits at slope
+# 2, 335-350 at slope 3, 360-390 at slope 4.  On random 300-node trees the
+# sized fold takes about 0.75 of the time of one width from the moments.
 _SIZED_FOLD_BITS = 216
 
 
@@ -378,7 +378,7 @@ def _chain_fold(code: bytes | list[int], bivar: bool = False,
     nodes, arity = len(code) - code.count(0), max(code)
     bound = _root_bound(code, nodes, arity, mirror)
     width = _slot_width(bound)
-    limit = _SIZED_FOLD_BITS * max(arity - 1, 1) // (2 if bivar else 1)
+    limit = _SIZED_FOLD_BITS * (3 if arity > 2 else 2) // (4 if bivar else 2)
     if bound.bit_length() > limit:
         power, packed, width = _sized_fold(code, width, bivar, mirror)[:3]
     else:

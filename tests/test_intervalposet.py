@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import (bracket_vector, oracle_trees_in_interval,
                      sylvester_classes, tree_leq_pairs, tree_upsets)
+from tamari.compose import (compose, decompose, enumerate_interval_posets,
+                            initial_interval_sum)
 from tamari.intervalposet import (IntervalPoset, IntervalPosetError,
                                   _end_vectors, dec_forest, inc_forest,
                                   interval_contains, interval_literals,
@@ -28,8 +30,35 @@ RIGHT_COMB_3 = parse_tree("[_,[_,[_,_]]]")
 
 @cache
 def all_posets(n):
-    from tamari.compose import enumerate_interval_posets
     return enumerate_interval_posets(n)
+
+
+def test_every_producer_returns_a_poset_sized_by_its_rows():
+    # the tracer counts posets by isinstance; len(p) is the size
+    tree = parse_tree("[[_,_],[_,[_,_]]]")
+    pair = make_interval(PAIR4_LOWER, PAIR4_UPPER)
+    produced = [IntervalPoset(0), IntervalPoset(4, [(2, 1), (2, 3)]),
+                IntervalPoset.from_text("n=3\n1<2"), validate(3, [(2, 1)]),
+                pair, inc_forest(tree), dec_forest(tree),
+                intersect(pair, pair), *compose(pair, pair),
+                *decompose(pair), *enumerate_interval_posets(0),
+                *enumerate_interval_posets(4), *initial_interval_sum(tree)]
+    for poset in produced:
+        assert type(poset) is IntervalPoset
+        assert len(poset) == poset.n
+    assert [p.n for p in decompose(pair)] == [0, 3]
+
+
+def test_a_poset_is_a_value_of_its_rows_alone():
+    p, q = all_posets(3)[:2]
+    twin = validate(3, p.relations)
+    assert p == twin and hash(p) == hash(twin) and p is not twin
+    assert len({p, twin, q}) == 2 and p != q
+    assert p != tuple(p) and tuple(p) != p and not p == tuple(p)
+    with pytest.raises(TypeError):
+        sorted([p, q])
+    empty = IntervalPoset(0)
+    assert bool(empty) and len(empty) == 0  # test emptiness with len
 
 
 def test_validate_accepts_four_node_pair_poset():

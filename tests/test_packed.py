@@ -102,15 +102,22 @@ def test_large_bivar_polynomial(n, sized_folds):
     assert sized_folds == [2 * n + 1] * (2 if n == 140 else 1)
 
 
-@pytest.mark.parametrize("m, n, sized", [(2, 150, False), (2, 200, True),
-                                         (3, 190, False), (3, 240, True)])
-def test_large_path_polynomial(m, n, sized, sized_folds):
+# paths' trees switch at 324 bits: 272 (m = 2) and 288 (m = 3) bits below,
+# 409 and 385 bits above
+@pytest.mark.parametrize("m, n, sized", [(2, 100, False), (2, 150, True),
+                                         (2, 200, True), (3, 90, False),
+                                         (3, 120, True), (3, 240, True)])
+def test_large_path_polynomial(m, n, sized, sized_folds, monkeypatch):
     path = BallotPath(m, random_ballot(random.Random(2), m, n))
     tree = path_to_mary_prefix(path)
     value = mary_tamari_poly(tree)
     assert value == mary_poly_sparse(tree)
     assert path_count(path) == value.subs(x=1, y=1).constant()
     assert sized_folds == ([(m + 1) * n + 1] if sized else []) * 2
+    # the other fold, forced, agrees
+    monkeypatch.setattr(poly, "_SIZED_FOLD_BITS", 10 ** 6 if sized else 0)
+    assert mary_tamari_poly(tree) == value
+    assert len(sized_folds) == (2 if sized else 1)
 
 
 def test_small_trees_skip_the_sized_fold(sized_folds):

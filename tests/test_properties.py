@@ -355,9 +355,9 @@ def test_compose_matches_sparse_reference_on_large_posets(i1, i2):
     # each term adds the new vertex k1 + 1 below one more run of rows
     new = 1 << i1.n
     for before, after in zip(terms, terms[1:]):
-        changed = [w for w, (a, b) in enumerate(zip(before.succ, after.succ))
+        changed = [w for w, (a, b) in enumerate(zip(before, after))
                    if a != b]
         assert changed == list(range(changed[0], changed[-1] + 1))
-        assert all(not before.succ[w] & new
-                   and after.succ[w] == before.succ[w] | new for w in changed)
+        assert all(not before[w] & new
+                   and after[w] == before[w] | new for w in changed)
     assert all(decompose(t) == (i1, i2) for t in terms)
