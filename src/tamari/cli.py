@@ -218,11 +218,12 @@ def cmd_mtamari_verify(args) -> int:
     # the words, hashed in C, stand for the paths of one m and n
     below = Counter(map(attrgetter("steps"),
                         chain.from_iterable(map(mtamari.path_upset, paths))))
+    counts = mtamari.path_counts(m, n)
     lines = []
     results = []
     all_ok = True
     for p in paths:
-        counted = mtamari.path_count(p)
+        counted = counts.get(p.steps)
         expected = below[p.steps]
         ok = counted == expected
         all_ok &= ok

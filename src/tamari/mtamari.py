@@ -13,19 +13,21 @@ chained slope form to the children of every node (and x to every leaf)
 yields a counting polynomial for the path's lower set, checked here at x=1.
 
 The m-Tamari series comes from the solver in :mod:`tamari.poly`, whose m = 1
-case is Chapoton's equation for Tamari intervals, and the path polynomials
-and path counts from its tree fold, both on polynomials in x packed into
-single ints.
+case is Chapoton's equation for Tamari intervals, the path polynomials from
+its tree fold, and the path counts of one size from that fold shared by
+all the trees of that size, each on polynomials in x packed into single
+ints.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cache
+from math import comb
 from operator import attrgetter
 
-from .poly import (Polynomial, X, Y, _chain_fold, _chain_poly,
-                   _series_layers, _slot_sum, _to_polynomial, delta)
+from .poly import (Polynomial, X, Y, _chain_poly, _series_layers, _slot_sum,
+                   _slot_width, _times_slope, _to_polynomial, delta)
 from .trees import _fold, _postfix
 
 
@@ -95,6 +97,14 @@ def enumerate_ballot_paths(m: int, n: int) -> list[BallotPath]:
     """All m-ballot paths of size n, N-before-E lexicographic order."""
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
+    return list(_ballot_paths(m, n))
+
+
+@cache
+def _ballot_paths(m: int, n: int) -> tuple[BallotPath, ...]:
+    """The paths :func:`enumerate_ballot_paths` lists, built once per m and
+    n, so that one size's paths are the same objects in every listing and
+    in the :func:`path_upset` cache."""
     out: list[BallotPath] = []
     stack = [("", 0, 0)]  # (prefix, north steps, east steps)
     while stack:
@@ -106,7 +116,7 @@ def enumerate_ballot_paths(m: int, n: int) -> list[BallotPath]:
             stack.append((word + "E", norths, easts + 1))
         if norths < n:
             stack.append((word + "N", norths + 1, easts))
-    return out
+    return tuple(out)
 
 
 def path_rotation_covers(path: BallotPath) -> set[BallotPath]:
@@ -189,18 +199,66 @@ def _path_code(path: BallotPath) -> list[int]:
             for step in reversed(path.steps + "E")]
 
 
-def path_count(path: BallotPath) -> int:
-    """The number of paths below ``path``, itself included, as the tree
-    fold counts them: :func:`mary_tamari_poly` of the path's tree at
-    x = y = 1, folded from the path's code with no tree and no polynomial.
+def path_counts(m: int, n: int) -> dict[str, int]:
+    """The number of paths below each m-ballot path of size n, itself
+    included, by the path's step word: :func:`mary_tamari_poly` of the
+    path's tree at x = y = 1, from one fold of every tree of up to n nodes,
+    with no tree object and no polynomial.
 
-    That value is the sum of the slots of the root's packed chain.  The
-    fold packs every chain at a width whose slots exceed a bound on the
-    chain's value at x = 1 (see :func:`tamari.poly._chain_fold`), so the
-    sum is below 2^width, and :func:`tamari.poly._slot_sum` reads it off
-    exactly with one remainder."""
-    _, packed, width = _chain_fold(_path_code(path))
-    return _slot_sum(packed, width)
+    The fold is :func:`tamari.poly._chain_fold`'s, shared: the trees of one
+    size are nodes over the chains of m+1 children of one size less, and
+    the chain over a node's last j children is the first of them times D
+    of the chain over the other j-1, formed once per such pair and read
+    by every tree that ends in it.  A chain over j leaves is x, and
+    D(x) = 1, so a chain whose first child holds all its nodes is that
+    child's value.  A tree's reading (its path word and the dropped
+    trailing east step) is N, then its children's readings from last to
+    first, joined when the tree is formed from the links of its chain.
+
+    Width: a chain over a node's last j children has s < n nodes between
+    them, and with leaves for the first m+1-j children it becomes the root
+    chain of a tree of s+1 <= n nodes.  A leaf in front turns a chain c
+    into x * D(c), or leaves it when c = x, and D(c)(1) >= c(1), as c is
+    divisible by x, so the chain's value at x = 1 is at most that tree's,
+    which counts the paths below a path of size s+1: at most the
+    Fuss-Catalan count C((m+1)n, n) / (mn+1).  The coefficients are
+    non-negative, so that bounds every coefficient of every chain and
+    every partial sum that :func:`tamari.poly._slope` forms, and one width
+    holds every chain.  Each count, a root chain's value at x = 1, is below
+    2^width, and :func:`tamari.poly._slot_sum` reads it off with one
+    remainder."""
+    if m < 1 or n < 0:
+        raise ValueError("need m >= 1 and n >= 0")
+    width = _slot_width(comb((m + 1) * n, n) // (m * n + 1))
+    # a tree is (power, packed, reading): x^power times the packed chain;
+    # a chain over j > 1 children of some node is (power, packed, first
+    # child, rest), and over j leaves it is the leaf, x, at any j
+    leaf = (1, 1, "E")
+    # sizes[s][j-1]: the chains over j children with s nodes between them,
+    # which for j = 1 are the trees of s nodes
+    sizes = [[[leaf]] * (m + 1)]
+    for s in range(n):
+        chains = sizes[s]
+        if s:
+            for j in range(1, m + 1):
+                made = [(t[0], t[1], t, leaf) for t in chains[0]]
+                for i in range(s):
+                    made += [(t[0], _times_slope(t[1], r[0], r[1], width), t, r)
+                             for t in sizes[i][0] for r in sizes[s - i][j - 1]]
+                chains.append(made)
+        formed = []
+        for chain in chains[m]:
+            parts, link = [], chain
+            while len(link) > 3:
+                parts.append(link[2][2])
+                link = link[3]
+            # the last child's reading, or one E per leaf of a bare rest
+            parts += link[2] * (m + 1 - len(parts)), "N"
+            parts.reverse()
+            formed.append((chain[0] + 1, chain[1], "".join(parts)))
+        sizes.append([formed])
+    return {reading[:-1]: _slot_sum(packed, width)
+            for _, packed, reading in sizes[n][0]}
 
 
 def mary_to_path_prefix(tree: MAryTree, m: int) -> BallotPath:

@@ -13,10 +13,11 @@ from itertools import accumulate
 from math import comb, factorial
 
 from tamari.intervalposet import IntervalPosetError, lower_tree, upper_tree
-from tamari.mtamari import (BallotPath, MAryTree, enumerate_ballot_paths,
-                            multilinear_Bm, path_upset)
+from tamari.mtamari import (BallotPath, MAryTree, _path_code,
+                            enumerate_ballot_paths, multilinear_Bm, path_upset)
 from tamari.order import sylvester_class, tamari_leq_oracle, tamari_upset
-from tamari.poly import ONE, X, Polynomial, bilinear_B, delta
+from tamari.poly import (ONE, X, Polynomial, _chain_fold, _slot_sum,
+                         bilinear_B, delta)
 from tamari.trees import EMPTY, BinaryTree, enumerate_trees, tamari_covers_up
 
 
@@ -84,6 +85,18 @@ def path_downset_sizes(m: int, n: int) -> dict[BallotPath, int]:
     ups = path_upsets(m, n)
     paths = enumerate_ballot_paths(m, n)
     return {p: sum(1 for q in paths if p in ups[q]) for p in paths}
+
+
+def path_count(path: BallotPath) -> int:
+    """The number of paths below ``path``, itself included, as the tree
+    fold counts them: mary_tamari_poly of the path's tree at x = y = 1,
+    folded from that one path's code, the reference for path_counts.
+
+    That value is the sum of the slots of the root's packed chain, below
+    2^width by the bound _chain_fold packs at, so _slot_sum reads it off
+    exactly with one remainder."""
+    _, packed, width = _chain_fold(_path_code(path))
+    return _slot_sum(packed, width)
 
 
 def greedy_max_extension(n: int, relations) -> tuple[int, ...]:

@@ -94,6 +94,8 @@ CASES = [
     ["mtamari-verify", "--m", "2", "--n", "3", "--json"],
     ["mtamari-verify", "--m", "3", "--n", "4"],
     ["mtamari-verify", "--m", "2", "--n", "6"],
+    ["mtamari-verify", "--m", "3", "--n", "5"],
+    ["mtamari-verify", "--m", "1", "--n", "5", "--json"],
     ["mtamari-verify", "--m", "0", "--n", "2"],
     ["count", "4", "--bogus"],
     ["poly", "NE", "--mir"],

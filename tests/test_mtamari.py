@@ -1,12 +1,16 @@
+from math import comb
+
 import pytest
 
-from helpers import (mtamari_interval_count, path_downset_sizes, path_upsets,
-                     phi_m_series_fixed_point, tree_leq_pairs)
+from helpers import (mtamari_interval_count, path_count, path_downset_sizes,
+                     path_upsets, phi_m_series_fixed_point, tree_leq_pairs)
+from tamari import mtamari
 from tamari.mtamari import (LEAF, BallotPath, MAryTree, enumerate_ballot_paths,
                             fuss_catalan, mary_tamari_poly,
                             mary_to_path_prefix, multilinear_Bm,
-                            parse_ballot_path, path_leq, path_rotation_covers,
-                            path_to_mary_prefix, phi_m_series)
+                            parse_ballot_path, path_counts, path_leq,
+                            path_rotation_covers, path_to_mary_prefix,
+                            phi_m_series)
 from tamari.poly import X, chapoton_count, parse_polynomial, phi_series
 from tamari.trees import from_dyck, to_dyck
 
@@ -47,6 +51,21 @@ def test_enumerate_ballot_paths():
     assert enumerate_ballot_paths(1, 0) == [BallotPath(1, "")]
     assert {p.steps for p in enumerate_ballot_paths(2, 2)} == \
         {"NNEEEE", "NENEEE", "NEENEE"}
+
+
+def test_enumeration_lists_afresh_from_one_table():
+    listed = enumerate_ballot_paths(2, 3)
+    expected = list(listed)
+    listed[0] = BallotPath(2, "NNNEEEEEE")
+    listed.append(BallotPath(2, ""))
+    again = enumerate_ballot_paths(2, 3)
+    assert again == expected and again is not listed
+    # the paths themselves are built once, so upset lookups share keys
+    assert all(p is q for p, q in zip(again, expected))
+    with pytest.raises(ValueError):
+        enumerate_ballot_paths(0, 2)
+    with pytest.raises(ValueError):
+        enumerate_ballot_paths(1, -1)
 
 
 def test_path_counts_match_lattice_point_recursion():
@@ -229,3 +248,70 @@ def test_m1_path_lattice_isomorphic_to_tree_lattice():
         for p, tp in trees.items():
             for q, tq in trees.items():
                 assert (q in ups[p]) == ((tp, tq) in leq)
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in (1, 2, 3) for n in range(5)]
+                         + [(1, 5), (1, 6)])
+def test_shared_fold_counts_match_every_route(m, n):
+    table = path_counts(m, n)
+    paths = enumerate_ballot_paths(m, n)
+    assert sorted(table) == sorted(p.steps for p in paths)
+    downs = path_downset_sizes(m, n)
+    for p in paths:
+        value = mary_tamari_poly(path_to_mary_prefix(p))
+        assert table[p.steps] == path_count(p) == downs[p] == \
+            value.subs(x=1, y=1).constant()
+
+
+@pytest.mark.parametrize("m, n", [(2, 5), (3, 5), (4, 4), (50, 3),
+                                  (300, 2), (1500, 1)])
+def test_shared_fold_matches_the_fold_of_each_path(m, n):
+    table = path_counts(m, n)
+    paths = enumerate_ballot_paths(m, n)
+    assert len(table) == len(paths)
+    assert table == {p.steps: path_count(p) for p in paths}
+
+
+@pytest.mark.parametrize("m, n", [(1, 7), (2, 5), (3, 5), (4, 4), (300, 2)])
+def test_shared_fold_reaches_its_width_at_the_top(m, n):
+    # the top path has every path below it; each of these counts needs a
+    # wider slot than the paths of one size less
+    top = path_counts(m, n)["N" * n + "E" * (m * n)]
+    assert top == fuss_catalan(m, n)
+    assert top.bit_length() > 8 >= fuss_catalan(m, n - 1).bit_length()
+
+
+@pytest.mark.parametrize("m", [1, 2, 300])
+def test_shared_fold_of_size_zero(m):
+    assert path_counts(m, 0) == {"": 1}
+
+
+def test_shared_fold_rejects_bad_sizes():
+    with pytest.raises(ValueError, match="need m >= 1 and n >= 0"):
+        path_counts(0, 2)
+    with pytest.raises(ValueError, match="need m >= 1 and n >= 0"):
+        path_counts(2, -1)
+
+
+def chain_count(m, j, s):
+    """Sequences of j trees with s nodes of m+1 children between them:
+    j / ((m+1)s + j) * C((m+1)s + j, s), by Lagrange inversion."""
+    return j * comb((m + 1) * s + j, s) // ((m + 1) * s + j)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 6), (2, 4), (3, 5), (40, 2)])
+def test_shared_fold_forms_each_chain_once(monkeypatch, m, n):
+    # one product per chain over j >= 2 children of s < n nodes, except
+    # when the first child holds all s nodes and the rest is x: D(x) = 1
+    products = []
+    times_slope = mtamari._times_slope
+
+    def counting(*args):
+        products.append(args)
+        return times_slope(*args)
+
+    monkeypatch.setattr(mtamari, "_times_slope", counting)
+    path_counts(m, n)
+    assert len(products) == sum(
+        chain_count(m, j, s) - chain_count(m, 1, s)
+        for s in range(n) for j in range(2, m + 2))

@@ -1,11 +1,13 @@
 """The CLI folds the postfix codes its parsers check, with no tree in between.
 
-``poly`` folds the code of its tree text (``poly.text_tamari_poly``), and
-``mtamari-verify`` the code of each ballot path's tree, down to the count
-(``mtamari.path_count``).  These tests check the command output and those
-functions against the library's tree-based routes, the mirror fold against
-the fold of the mirror image's code, and that neither command builds a
-tree object, nor ``mtamari-verify`` a polynomial.  ``lattice`` reads its
+``poly`` folds the code of its tree text (``poly.text_tamari_poly``).
+``mtamari-verify`` reads each ballot path's count off one fold of every
+tree of its size, down to the counts (``mtamari.path_counts``), and folds
+no single path's code.  These tests check the command output and those
+functions against the library's tree-based routes and against the fold of
+each path's own code, the mirror fold against the fold of the mirror
+image's code, and that neither command builds a tree object, nor
+``mtamari-verify`` a polynomial.  ``lattice`` reads its
 covers off bracket vectors (``trees.tamari_cover_edges``), so it builds no
 rotated tree either, and its labels off the enumeration's shared subtrees
 (``trees.format_trees``), so it formats no single tree; ``interval
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import left_comb, mirror, random_ballot, right_comb
+from helpers import left_comb, mirror, path_count, random_ballot, right_comb
 from tamari import intervalposet, mtamari, order, trees
 from tamari.cli import main
 from tamari.poly import (Polynomial, _chain_poly, _root_bound, tamari_poly,
@@ -170,7 +172,7 @@ def test_path_code_folds_to_the_tree_polynomial(m, n):
     for p in mtamari.enumerate_ballot_paths(m, n):
         value = mtamari.mary_tamari_poly(mtamari.path_to_mary_prefix(p))
         assert _chain_poly(mtamari._path_code(p), mary=True) == value
-        assert mtamari.path_count(p) == value.subs(x=1, y=1).constant()
+        assert path_count(p) == value.subs(x=1, y=1).constant()
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -261,3 +263,34 @@ def test_mtamari_verify_builds_no_polynomial(monkeypatch, m, n):
     code, out = run("mtamari-verify", "--m", str(m), "--n", str(n))
     assert code == 0 and out.endswith(" paths checked\n")
     assert built == []
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 4)])
+def test_mtamari_verify_folds_once_per_call(spied, m, n):
+    spy, calls = spied
+    spy(mtamari, "path_counts")
+    spy(mtamari, "_path_code")
+    code, out = run("mtamari-verify", "--m", str(m), "--n", str(n))
+    assert code == 0 and out.endswith(" paths checked\n")
+    assert calls == ["path_counts"]
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_mtamari_verify_fails_a_path_the_table_lacks(monkeypatch, as_json):
+    table = mtamari.path_counts(2, 3)
+    below = table.pop("NENEEENEE")  # the count the rotations agree on
+    monkeypatch.setattr(mtamari, "path_counts", lambda m, n: dict(table))
+    code, out = run("mtamari-verify", "--m", "2", "--n", "3",
+                    *["--json"] * as_json)
+    assert code == 1
+    if as_json:
+        payload = json.loads(out)
+        failed = [r for r in payload["paths"] if not r["ok"]]
+        assert payload["ok"] is False and failed == [
+            {"path": "m=2:NENEEENEE", "polynomial_count": None,
+             "path_count": below, "ok": False}]
+    else:
+        lines = out.splitlines()
+        assert [s for s in lines if s.startswith("FAIL ")] == [
+            f"FAIL m=2:NENEEENEE polynomial=None paths={below}"]
+        assert lines[-1] == "FAILED 12 paths checked"

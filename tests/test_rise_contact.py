@@ -17,7 +17,7 @@ import pytest
 from helpers import mirror
 from tamari.compose import enumerate_interval_posets
 from tamari.intervalposet import stat_monomial, upper_tree
-from tamari.mtamari import enumerate_ballot_paths, path_count, phi_m_series
+from tamari.mtamari import path_counts, phi_m_series
 from tamari.poly import Polynomial, phi_series, tamari_poly
 from tamari.trees import enumerate_trees, left_border_count
 
@@ -62,8 +62,7 @@ def test_phi_m_from_path_counts_by_rise(m, max_n):
     phi = phi_m_series(m, max_n)
     for n in range(max_n + 1):
         by_rise = Counter()
-        for q in enumerate_ballot_paths(m, n):
-            rise = len(q.steps) - len(q.steps.lstrip("N"))
-            by_rise[rise + 1] += path_count(q)
+        for word, count in path_counts(m, n).items():
+            by_rise[len(word) - len(word.lstrip("N")) + 1] += count
         assert phi.y_coefficient(n) == Polynomial(
             {(ex, 0, 0): count for ex, count in by_rise.items()}), (m, n)
