@@ -24,6 +24,7 @@ TREE_LATTICE_CAP = 8
 PATH_LATTICE_CAP = 5
 ENUMERATION_CAP = 8
 SERIES_CAP = 30
+SLOPE_CAP = 5
 
 
 class CommandError(Exception):
@@ -52,11 +53,12 @@ def _effective_cap(args, default: int) -> int:
     return args.max_n
 
 
-def _gate(args, n: int, default: int, what: str) -> int:
-    """The cap in force for ``what``; raises when n exceeds it."""
+def _gate(args, n: int, default: int, what: str, name: str = "n") -> int:
+    """The cap in force for ``what``; raises when n, the parameter
+    ``name``, exceeds it."""
     cap = _effective_cap(args, default)
     if n > cap:
-        raise CommandError(f"{what} capped at n={default} "
+        raise CommandError(f"{what} capped at {name}={default} "
                            "(override with --max-n)")
     return cap
 
@@ -181,6 +183,7 @@ def cmd_lattice(args) -> int:
     n = args.n
     if (m := args.mtamari) is not None:
         _gate(args, n, PATH_LATTICE_CAP, "ballot path lattices are")
+        _gate(args, m, SLOPE_CAP, "slopes are", "m")
         elements = mtamari.enumerate_ballot_paths(m, n)
         index = {e: i for i, e in enumerate(elements)}
         edges = sorted((index[e], index[f]) for e in elements
@@ -205,6 +208,7 @@ def cmd_phi(args) -> int:
     if args.m is None:
         series = poly.phi_series(args.n)
     else:
+        _gate(args, args.m, SLOPE_CAP, "slopes are", "m")
         series = mtamari.phi_m_series(args.m, args.n)
     text = str(series)
     _emit(args, [text], {"n": args.n, "m": args.m, "series": text})
@@ -214,6 +218,7 @@ def cmd_phi(args) -> int:
 def cmd_mtamari_verify(args) -> int:
     m, n = args.m, args.n
     _gate(args, n, PATH_LATTICE_CAP, "verification is")
+    _gate(args, m, SLOPE_CAP, "slopes are", "m")
     paths = mtamari.enumerate_ballot_paths(m, n)
     # the words, hashed in C, stand for the paths of one m and n
     below = Counter(map(attrgetter("steps"),

@@ -87,18 +87,6 @@ class IntervalPoset(tuple):
         return frozenset((a, b) for a, row in enumerate(self, 1)
                          for b in _labels(row))
 
-    def prec(self, a: int, b: int) -> bool:
-        return (1 <= a <= len(self) and 1 <= b <= len(self)
-                and bool(self[a - 1] >> (b - 1) & 1))
-
-    def increasing_relations(self) -> set[tuple[int, int]]:
-        return {(a, b) for a, row in enumerate(self, 1)
-                for b in _labels(row >> a << a)}
-
-    def decreasing_relations(self) -> set[tuple[int, int]]:
-        return {(a, b) for a, row in enumerate(self, 1)
-                for b in _labels(row & _span(1, a - 1))}
-
     def covers(self) -> list[tuple[int, int]]:
         """Transitive reduction, sorted by (a, b)."""
         return [(a, b) for a, row in enumerate(self, 1)

@@ -1,4 +1,4 @@
-"""m-ballot paths, the rotation lattice on them, and the m-linear machinery.
+"""m-ballot paths, the rotation lattice on them, and their counting routes.
 
 An m-ballot path takes n north and m*n east steps from the origin and stays
 weakly above the line x = m*y; m=1 gives Dyck paths.  Rotation swaps an east
@@ -26,8 +26,8 @@ from functools import cache
 from math import comb
 from operator import attrgetter
 
-from .poly import (Polynomial, X, Y, _chain_poly, _series_layers, _slot_sum,
-                   _slot_width, _times_slope, _to_polynomial, delta)
+from .poly import (Polynomial, _chain_poly, _series_layers, _slot_sum,
+                   _slot_width, _times_slope, _to_polynomial)
 from .trees import _fold, _postfix
 
 
@@ -104,18 +104,23 @@ def enumerate_ballot_paths(m: int, n: int) -> list[BallotPath]:
 def _ballot_paths(m: int, n: int) -> tuple[BallotPath, ...]:
     """The paths :func:`enumerate_ballot_paths` lists, built once per m and
     n, so that one size's paths are the same objects in every listing and
-    in the :func:`path_upset` cache."""
+    in the :func:`path_upset` cache.
+
+    Each word is listed by its north steps: a prefix on the stack ends in
+    a north step (or is empty), and the next one follows k more east
+    steps, with k from 0 up to the prefix's slack m * norths - easts.
+    Once a prefix holds all n north steps, east steps pad it to length."""
     out: list[BallotPath] = []
-    stack = [("", 0, 0)]  # (prefix, north steps, east steps)
+    stack = [("", 0)]  # (prefix, north steps)
     while stack:
-        word, norths, easts = stack.pop()
-        if norths == n and easts == m * n:
-            out.append(BallotPath._trusted(m, word))
+        word, norths = stack.pop()
+        if norths == n:
+            out.append(BallotPath._trusted(m, word.ljust((m + 1) * n, "E")))
             continue
-        if easts < m * norths:  # pushed first, so the N branch pops first
-            stack.append((word + "E", norths, easts + 1))
-        if norths < n:
-            stack.append((word + "N", norths + 1, easts))
+        slack = (m + 1) * norths - len(word)
+        # k = 0 pushed last, so the prefixes pop in N-before-E order
+        stack += [(word + "E" * k + "N", norths + 1)
+                  for k in range(slack, -1, -1)]
     return tuple(out)
 
 
@@ -141,13 +146,6 @@ def path_rotation_covers(path: BallotPath) -> set[BallotPath]:
 def path_upset(path: BallotPath) -> frozenset[BallotPath]:
     """All paths reachable from ``path`` by rotations, itself included."""
     return frozenset({path}.union(*map(path_upset, path_rotation_covers(path))))
-
-
-def path_leq(lower: BallotPath, upper: BallotPath) -> bool:
-    """Reachability of ``upper`` from ``lower`` by rotations."""
-    if lower.m != upper.m or lower.n != upper.n:
-        raise ValueError("paths must share m and size")
-    return upper in path_upset(lower)
 
 
 class MAryTree:
@@ -261,28 +259,6 @@ def path_counts(m: int, n: int) -> dict[str, int]:
             for _, packed, reading in sizes[n][0]}
 
 
-def mary_to_path_prefix(tree: MAryTree, m: int) -> BallotPath:
-    """Inverse reading: emit N per node and E per leaf, children right to
-    left (the postorder reversed), and drop the final east step."""
-    code = _postfix(tree, _mary_children)
-    bad = next((k for k in code if k not in (0, m + 1)), None)
-    if bad is not None:
-        raise ValueError(f"expected {m + 1} children, got {bad}")
-    return BallotPath(m, "".join("N" if k else "E" for k in reversed(code[1:])))
-
-
-def multilinear_Bm(polys: list[Polynomial]) -> Polynomial:
-    """The chained slope form xy * f1 * D(f2 * D(... * D(fk)...)) on k
-    arguments, with k-1 nested slope operators; a single argument gives
-    xy * f1.  The m-Tamari recursion applies it to m+1 series."""
-    if not polys:
-        raise ValueError("the form needs at least one polynomial")
-    chain = polys[-1]
-    for f in reversed(polys[:-1]):
-        chain = f * delta(chain)
-    return X * Y * chain
-
-
 def phi_m_series(m: int, max_degree: int) -> Polynomial:
     """The m-Tamari interval series through y^max_degree, the solution of
     Phi = x + B(Phi, ..., Phi) with m+1 arguments.
@@ -303,18 +279,3 @@ def mary_tamari_poly(tree: MAryTree) -> Polynomial:
     """Counting polynomial of a prefix-read tree: x on leaves, the chained
     slope form on each node's children in left-to-right order."""
     return _chain_poly(_postfix(tree, _mary_children), mary=True)
-
-
-def fuss_catalan(m: int, n: int) -> int:
-    """Path count by dynamic programming over lattice points (independent
-    of the path generator)."""
-    if m < 1 or n < 0:
-        raise ValueError("need m >= 1 and n >= 0")
-    # ways[j] = paths with the current number of north steps and j east steps
-    ways = [1] + [0] * (m * n)
-    for i in range(1, n + 1):
-        acc = 0
-        for j in range(m * n + 1):
-            acc += ways[j]
-            ways[j] = acc if j <= m * i else 0
-    return ways[m * n] if n else 1

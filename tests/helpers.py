@@ -5,7 +5,9 @@ independently of the structured algorithms under test, and cache per size
 so exhaustive suites stay fast.  The series and tree-polynomial references
 redo on sparse polynomials what the package does on packed integers, and
 the interval-poset references redo on frozensets of (a, b) pairs what the
-package does on per-vertex successor masks.
+package does on per-vertex successor masks.  The chained m-ary form, the
+inverse prefix reading and the lattice-point path count are references
+that only the tests use.
 """
 
 from functools import cache
@@ -13,12 +15,13 @@ from itertools import accumulate
 from math import comb, factorial
 
 from tamari.intervalposet import IntervalPosetError, lower_tree, upper_tree
-from tamari.mtamari import (BallotPath, MAryTree, _path_code,
-                            enumerate_ballot_paths, multilinear_Bm, path_upset)
+from tamari.mtamari import (BallotPath, MAryTree, _mary_children, _path_code,
+                            enumerate_ballot_paths, path_upset)
 from tamari.order import sylvester_class, tamari_leq_oracle, tamari_upset
-from tamari.poly import (ONE, X, Polynomial, _chain_fold, _slot_sum,
+from tamari.poly import (ONE, X, Y, Polynomial, _chain_fold, _slot_sum,
                          bilinear_B, delta)
-from tamari.trees import EMPTY, BinaryTree, enumerate_trees, tamari_covers_up
+from tamari.trees import (EMPTY, BinaryTree, _postfix, enumerate_trees,
+                          tamari_covers_up)
 
 
 @cache
@@ -97,6 +100,44 @@ def path_count(path: BallotPath) -> int:
     exactly with one remainder."""
     _, packed, width = _chain_fold(_path_code(path))
     return _slot_sum(packed, width)
+
+
+def mary_to_path_prefix(tree: MAryTree, m: int) -> BallotPath:
+    """Inverse of path_to_mary_prefix: emit N per node and E per leaf,
+    children right to left (the postorder reversed), and drop the final
+    east step."""
+    code = _postfix(tree, _mary_children)
+    bad = next((k for k in code if k not in (0, m + 1)), None)
+    if bad is not None:
+        raise ValueError(f"expected {m + 1} children, got {bad}")
+    return BallotPath(m, "".join("N" if k else "E" for k in reversed(code[1:])))
+
+
+def multilinear_Bm(polys: list[Polynomial]) -> Polynomial:
+    """The chained slope form xy * f1 * D(f2 * D(... * D(fk)...)) on k
+    arguments, with k-1 nested slope operators; a single argument gives
+    xy * f1.  The m-Tamari recursion applies it to m+1 series."""
+    if not polys:
+        raise ValueError("the form needs at least one polynomial")
+    chain = polys[-1]
+    for f in reversed(polys[:-1]):
+        chain = f * delta(chain)
+    return X * Y * chain
+
+
+def fuss_catalan(m: int, n: int) -> int:
+    """The number of m-ballot paths of size n, by dynamic programming over
+    lattice points, independent of the path generator."""
+    if m < 1 or n < 0:
+        raise ValueError("need m >= 1 and n >= 0")
+    # ways[j] = paths with the current number of north steps and j east steps
+    ways = [1] + [0] * (m * n)
+    for i in range(1, n + 1):
+        acc = 0
+        for j in range(m * n + 1):
+            acc += ways[j]
+            ways[j] = acc if j <= m * i else 0
+    return ways[m * n] if n else 1
 
 
 def greedy_max_extension(n: int, relations) -> tuple[int, ...]:

@@ -232,10 +232,30 @@ def test_lattice_capacity(capsys):
 
 def test_ballot_commands_at_large_m(capsys):
     # a ballot path of size 1 has m + 1 steps, beyond the recursion limit
-    code, out, _ = run(capsys, "mtamari-verify", "--m", "1500", "--n", "1")
+    code, out, _ = run(capsys, "mtamari-verify", "--m", "1500", "--n", "1",
+                       "--max-n", "1500")
     assert code == 0 and out.endswith("OK 1 paths checked\n")
-    code, out, _ = run(capsys, "lattice", "1", "--mtamari", "1500")
+    code, out, _ = run(capsys, "lattice", "1", "--mtamari", "1500",
+                       "--max-n", "1500")
     assert code == 0 and f'label="N{"E" * 1500}"' in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("phi", "1", "--m", "{m}"),
+    ("lattice", "1", "--mtamari", "{m}"),
+    ("mtamari-verify", "--m", "{m}", "--n", "1"),
+], ids=["phi", "lattice", "mtamari-verify"])
+def test_slope_cap(capsys, argv):
+    over = cli.SLOPE_CAP + 1
+    for m in (over, 100_000_000):
+        code, out, err = run(capsys, *(word.format(m=m) for word in argv))
+        assert (code, out) == (2, "")
+        assert err == (f"error: slopes are capped at m={cli.SLOPE_CAP} "
+                       "(override with --max-n)\n")
+    code, out, err = run(capsys, *(word.format(m=over) for word in argv),
+                         "--max-n", str(over))
+    assert code == 0 and out
+    assert err.startswith(f"warning: raising capacity cap to {over}")
 
 
 def test_phi_command(capsys):

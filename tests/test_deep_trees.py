@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from helpers import bracket_vector, left_comb, right_comb
+from helpers import bracket_vector, left_comb, mary_to_path_prefix, right_comb
 from tamari.cli import main
 from tamari.compose import compose, decompose
 from tamari.intervalposet import (_end_vectors, dec_forest, inc_forest,
@@ -19,7 +19,7 @@ from tamari.intervalposet import (_end_vectors, dec_forest, inc_forest,
                                   make_interval, trees_in_interval,
                                   upper_tree)
 from tamari.mtamari import (LEAF, BallotPath, MAryTree, mary_tamari_poly,
-                            mary_to_path_prefix, path_to_mary_prefix)
+                            path_to_mary_prefix)
 from tamari.order import CapacityError
 from tamari.poly import (Polynomial, tamari_poly, tamari_poly_bivar,
                          tamari_poly_mirror)

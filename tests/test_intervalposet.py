@@ -119,7 +119,7 @@ def test_from_text_rejects_what_int_would_guess(text):
 def test_inc_forest_ten_node_tree():
     forest = inc_forest(TREE10)
     assert forest.covers() == [(1, 5), (2, 3), (3, 5), (4, 5), (6, 7), (8, 9)]
-    assert not forest.decreasing_relations()
+    assert all(a < b for a, b in forest.relations)
 
 
 def test_inc_forest_eleven_node_tree():
@@ -140,7 +140,7 @@ def test_dec_forest_examples():
     forest = dec_forest(TREE10)
     assert forest.covers() == [(2, 1), (3, 1), (4, 3), (6, 5), (7, 5),
                                (8, 7), (9, 7), (10, 9)]
-    assert not forest.increasing_relations()
+    assert all(a > b for a, b in forest.relations)
     # only the left comb has no decreasing relations (no node has a
     # non-empty right subtree); the right comb gives the full chain
     assert not dec_forest(LEFT_COMB_3).relations
@@ -159,24 +159,28 @@ def test_directed_parts_are_forests():
 
     for n in range(6):
         for poset in all_posets(n):
-            assert cover_parents_unique(poset.decreasing_relations())
-            assert cover_parents_unique(poset.increasing_relations())
+            relations = poset.relations
+            assert cover_parents_unique({(a, b) for a, b in relations if a > b})
+            assert cover_parents_unique({(a, b) for a, b in relations if a < b})
 
 
 def test_directed_parts_split_the_relations():
+    # the increasing relations are the upper tree's increasing forest and
+    # the decreasing ones the lower tree's decreasing forest
     for n in range(7):
         for poset in all_posets(n):
             relations = poset.relations
-            assert poset.increasing_relations() == {(a, b) for a, b in relations
-                                                    if a < b}
-            assert poset.decreasing_relations() == {(a, b) for a, b in relations
-                                                    if a > b}
+            assert {(a, b) for a, b in relations if a < b} == \
+                inc_forest(upper_tree(poset)).relations
+            assert {(a, b) for a, b in relations if a > b} == \
+                dec_forest(lower_tree(poset)).relations
 
 
 def test_prec_membership():
+    # bit b-1 of row a-1 is set iff a precedes b
     poset = validate(4, [(2, 1), (2, 3)])
-    assert poset.prec(2, 1) and poset.prec(2, 3)
-    assert not poset.prec(1, 2) and not poset.prec(1, 4)
+    assert list(poset) == [0, 0b101, 0, 0]
+    assert {(2, 1), (2, 3)} == poset.relations
 
 
 def test_forests_are_valid_interval_posets():

@@ -1,16 +1,16 @@
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from helpers import (mtamari_interval_count, path_count, path_downset_sizes,
+from helpers import (fuss_catalan, mary_to_path_prefix, mtamari_interval_count,
+                     multilinear_Bm, path_count, path_downset_sizes,
                      path_upsets, phi_m_series_fixed_point, tree_leq_pairs)
 from tamari import mtamari
 from tamari.mtamari import (LEAF, BallotPath, MAryTree, enumerate_ballot_paths,
-                            fuss_catalan, mary_tamari_poly,
-                            mary_to_path_prefix, multilinear_Bm,
-                            parse_ballot_path, path_counts, path_leq,
+                            mary_tamari_poly, parse_ballot_path, path_counts,
                             path_rotation_covers, path_to_mary_prefix,
-                            phi_m_series)
+                            path_upset, phi_m_series)
 from tamari.poly import X, chapoton_count, parse_polynomial, phi_series
 from tamari.trees import from_dyck, to_dyck
 
@@ -68,6 +68,30 @@ def test_enumeration_lists_afresh_from_one_table():
         enumerate_ballot_paths(1, -1)
 
 
+@pytest.mark.parametrize("m, n", [(1, 0), (2, 0), (1, 5), (2, 4), (3, 4),
+                                  (3, 5), (2, 7), (5, 5)])
+def test_enumeration_lists_every_ballot_word_in_order(m, n):
+    # the north steps' positions, in lexicographic order, list the words
+    # in N-before-E order; a word is a ballot word when the i-th north
+    # step (from 0) has at most m*i east steps before it
+    words = []
+    for norths in combinations(range((m + 1) * n), n):
+        if all(p - i <= m * i for i, p in enumerate(norths)):
+            steps = ["E"] * ((m + 1) * n)
+            for p in norths:
+                steps[p] = "N"
+            words.append("".join(steps))
+    assert [p.steps for p in enumerate_ballot_paths(m, n)] == words
+
+
+def test_enumeration_at_a_large_slope():
+    paths = enumerate_ballot_paths(300, 2)
+    assert len(paths) == 301
+    words = [p.steps for p in paths]
+    assert words == sorted(words, key=lambda w: w.replace("N", "0"))
+    assert all(p == BallotPath(300, p.steps) for p in paths)
+
+
 def test_path_counts_match_lattice_point_recursion():
     for m in (1, 2, 3):
         for n in range(6):
@@ -106,14 +130,14 @@ def test_m1_covers_transport_to_tree_rotations():
 
 
 def test_path_leq():
+    # the order is membership in the upset
     p = BallotPath(2, "NEENEE")
-    assert path_leq(p, p)
-    assert path_leq(p, BallotPath(2, "NNEEEE"))
-    assert not path_leq(BallotPath(2, "NNEEEE"), p)
-    with pytest.raises(ValueError):
-        path_leq(BallotPath(1, "NE"), BallotPath(2, "NEE"))
+    assert p in path_upset(p)
+    assert BallotPath(2, "NNEEEE") in path_upset(p)
+    assert p not in path_upset(BallotPath(2, "NNEEEE"))
+    assert BallotPath(1, "NE") not in path_upset(BallotPath(2, "NEE"))
     paths = enumerate_ballot_paths(1, 3)
-    assert sum(path_leq(p, q) for p in paths for q in paths) == 13
+    assert sum(q in path_upset(p) for p in paths for q in paths) == 13
 
 
 def test_m1_order_agrees_with_tree_oracle():
@@ -121,7 +145,7 @@ def test_m1_order_agrees_with_tree_oracle():
         leq = tree_leq_pairs(n)
         for p in enumerate_ballot_paths(1, n):
             for q in enumerate_ballot_paths(1, n):
-                assert path_leq(p, q) == \
+                assert (q in path_upset(p)) == \
                     ((from_dyck(p.steps), from_dyck(q.steps)) in leq)
 
 

@@ -16,13 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (left_comb, mary_poly_sparse, mirror,
+from helpers import (fuss_catalan, left_comb, mary_poly_sparse, mirror,
                      mtamari_interval_count, path_count, random_ballot,
                      right_comb, tree_poly_sparse)
 from tamari import poly
-from tamari.mtamari import (BallotPath, _mary_children, fuss_catalan,
-                            mary_tamari_poly, path_to_mary_prefix,
-                            phi_m_series)
+from tamari.mtamari import (BallotPath, _mary_children, mary_tamari_poly,
+                            path_to_mary_prefix, phi_m_series)
 from tamari.poly import (B, Polynomial, _repack, _root_bound, _slope,
                          _slot_sum, _slot_width, _to_polynomial, delta,
                          tamari_poly, tamari_poly_bivar, tamari_poly_mirror)

@@ -164,7 +164,7 @@ def test_bivariate_form_collapses_at_b_one(f, g):
 @settings(max_examples=60)
 @given(st.integers(1, 3), st.data())
 def test_chained_form_is_multilinear(m, data):
-    from tamari.mtamari import multilinear_Bm
+    from helpers import multilinear_Bm
     args = [data.draw(polynomials) for _ in range(m + 1)]
     slot = data.draw(st.integers(0, m))
     f, g = data.draw(polynomials), data.draw(polynomials)
