@@ -257,11 +257,13 @@ def _slot_width(bound: int) -> int:
 
 def _slope(packed: int, width: int) -> int:
     """delta on a packed polynomial: slot i becomes the sum of the slots
-    above it, by shift-and-add doubling, whose partial sums stay below it."""
+    above it, by shift-and-add doubling, one shift per step (adding the
+    value shifted by 1, 2, 4, ... slots), whose partial sums stay below
+    it.  The loop ends at the first shift that leaves nothing."""
     out = packed >> width
     step = width
-    while out >> step:
-        out += out >> step
+    while shifted := out >> step:
+        out += shifted
         step <<= 1
     return out
 
@@ -280,15 +282,23 @@ def _slot_sum(packed: int, width: int) -> int:
 def _to_polynomial(layers: list[int], width: int, shift: int = 0,
                    by_b: bool = False) -> Polynomial:
     """The polynomial with slot i of layers[d] on x^(i+shift) * y^d, or on
-    x^(i+shift) * b^d when ``by_b``."""
+    x^(i+shift) * b^d when ``by_b``.  Its keys are never negative and its
+    zero slots are dropped, so it is built without __init__'s checks."""
     size = width // 8
     terms = {}
     for d, packed in enumerate(layers):
-        data = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
-        for ex, i in enumerate(range(0, len(data), size), shift):
-            if coeff := int.from_bytes(data[i:i + size], "little"):
-                terms[(ex, 0, d) if by_b else (ex, d, 0)] = coeff
-    return Polynomial(terms)
+        if not packed:
+            continue
+        data = packed.to_bytes(-(-packed.bit_length() // width) * size,
+                               "little")
+        slots = [int.from_bytes(data[i:i + size], "little")
+                 for i in range(0, len(data), size)]
+        ey, eb = (0, d) if by_b else (d, 0)
+        terms.update({(ex, ey, eb): c for ex, c in enumerate(slots, shift)
+                      if c})
+    out = Polynomial.__new__(Polynomial)
+    out._terms = terms
+    return out
 
 
 def tamari_poly(tree: BinaryTree) -> Polynomial:
@@ -324,15 +334,15 @@ def text_tamari_poly(text: str, variant: str = "standard") -> Polynomial:
 
 
 # _chain_fold takes the sized fold when the bound on its values has more than
-# _SIZED_FOLD_BITS bits on a binary tree, half that on the b-refined fold,
-# whose products cost more, and 1.5 times that on a path of slope 2 or more:
-# the sized fold pays a fixed cost per product to narrow it.  On a 2-core
-# x86_64 machine (Python 3.11) the folds break even on random binary trees
-# of 105-110 nodes (206-216 bits), b-refined trees of 55-60 (108-116 bits)
-# and random paths near 105 nodes whatever the slope: 290-300 bits at slope
-# 2, 335-350 at slope 3, 360-390 at slope 4.  On random 300-node trees the
+# _SIZED_FOLD_BITS bits on a binary tree, two fifths of that on the b-refined
+# fold, whose products cost more, and 1.5 times that on a path of slope 2 or
+# more: the sized fold pays a fixed cost per product to narrow it.  On a
+# 2-core x86_64 machine (Python 3.11) the folds break even on random binary
+# trees of 115-121 nodes (226-238 bits), b-refined trees of 47-49 (91-95
+# bits) and random paths of 109-116 nodes whatever the slope: about 305 bits
+# at slope 2, 350 at slope 3, 415 at slope 4.  On random 300-node trees the
 # sized fold takes about 0.75 of the time of one width from the moments.
-_SIZED_FOLD_BITS = 216
+_SIZED_FOLD_BITS = 232
 
 
 def _chain_poly(code: bytes | list[int], bivar: bool = False,
@@ -361,8 +371,11 @@ def _chain_fold(code: bytes | list[int], bivar: bool = False,
     mirror image's code.  The code is a list of child counts, or those
     counts as bytes as the parsers yield.
 
-    A power of x stays an exponent until its chain is differentiated, and
-    D(x) = 1 passes the next child on, so a comb costs one increment per
+    Each node is a right fold of one link over its children, link(f, v) =
+    f * D(v), and then one top step that multiplies by the node's x (see
+    :func:`_combine`): a binary node is top(link(left, right)).  A power
+    of x stays an exponent until its chain is differentiated, and D(x) = 1
+    makes the link pass f on unchanged, so a comb costs one increment per
     node.  Width: every chain c is divisible by x, so D(c)(1) >= c(1) at
     b = 1 and values grow toward the root, whose value at x = b = 1 counts
     the trees below (above, if mirrored) or the paths below: at most the
@@ -378,25 +391,46 @@ def _chain_fold(code: bytes | list[int], bivar: bool = False,
     nodes, arity = len(code) - code.count(0), max(code)
     bound = _root_bound(code, nodes, arity, mirror)
     width = _slot_width(bound)
-    limit = _SIZED_FOLD_BITS * (3 if arity > 2 else 2) // (4 if bivar else 2)
+    limit = _SIZED_FOLD_BITS * (3 if arity > 2 else 2) // (5 if bivar else 2)
     if bound.bit_length() > limit:
         power, packed, width = _sized_fold(code, width, bivar, mirror)[:3]
     else:
-        step = _times_slope_b if bivar else _times_slope
         leaf = (1, [1] if bivar else 1)
 
-        def node(*children):
-            if mirror:
-                children = children[::-1]
-            value = children[-1]
-            for f in children[-2::-1]:
-                if value is not leaf:  # else D(x) = 1 leaves f as the chain
-                    f = f[0], step(f[1], *value, width)
-                value = f
+        def link(f, value):  # f * D(value); D(x) = 1
+            if value is leaf:
+                return f
+            power, chain = value
+            if bivar:
+                return f[0], _times_slope_b(f[1], power, chain, width)
+            return f[0], f[1] * _slope(chain << power * width, width)
+
+        def top(value):
             return value[0] + 1, value[1]
 
-        power, packed = _fold(code, leaf, node)
+        power, packed = _fold(code, leaf, _combine(link, top, arity, mirror))
     return power, packed, width
+
+
+def _combine(link, top, arity: int, mirror: bool):
+    """The combine that :func:`~tamari.trees._fold` calls on a node's
+    children c_1 .. c_k: top(link(c_1, link(c_2, ... link(c_(k-1), c_k)))),
+    the children taken right to left if ``mirror``.  A binary node is one
+    link of its two values, with no argument tuple."""
+    if arity == 2:
+        if mirror:
+            return lambda left, right: top(link(right, left))
+        return lambda left, right: top(link(left, right))
+
+    def node(*children):
+        if mirror:
+            children = children[::-1]
+        value = children[-1]
+        for f in children[-2::-1]:
+            value = link(f, value)
+        return top(value)
+
+    return node
 
 
 def _root_bound(code: bytes | list[int], nodes: int, arity: int,
@@ -507,32 +541,30 @@ def _sized_fold(code: bytes | list[int], root_width: int, bivar: bool,
         step, repack = _times_slope, _repack
     leaf = (1, [1] if bivar else 1, 8, 0, 1, 1, 1, 0, 0)
 
-    def node(*children):
-        if mirror:
-            children = children[::-1]
-        value = children[-1]
-        for f in children[-2::-1]:
-            if value is not leaf:  # f * D(value); D(x) = 1
-                power, chain, width, s, d, _, a1, a2, a3 = value
-                p, lower, v, t, e, b0, b1, b2, b3 = f
-                a4 = a3 * (d - 3) // 4 if d > 3 else 0
-                mu0, s = b0 * a1, s + t
-                # one bit more than the count needs absorbs float rounding
-                bits = min(mu0.bit_length(), int((s + 1) * rate) + 2)
-                w = min(_round_width(bits), root_width)
-                if width != w:
-                    chain = repack(chain, width, w)
-                if v != w:
-                    lower = repack(lower, v, w)
-                f = (p, step(lower, power, chain, w), w, s, e + d - 1, mu0,
-                     b0 * a2 + b1 * a1, b0 * a3 + b1 * a2 + b2 * a1,
-                     b0 * a4 + b1 * a3 + b2 * a2 + b3 * a1)
-            value = f
+    def link(f, value):  # f * D(value); D(x) = 1
+        if value is leaf:
+            return f
+        power, chain, width, s, d, _, a1, a2, a3 = value
+        p, lower, v, t, e, b0, b1, b2, b3 = f
+        a4 = a3 * (d - 3) // 4 if d > 3 else 0
+        mu0, s = b0 * a1, s + t
+        # one bit more than the count needs absorbs float rounding
+        bits = min(mu0.bit_length(), int((s + 1) * rate) + 2)
+        w = min(_round_width(bits), root_width)
+        if width != w:
+            chain = repack(chain, width, w)
+        if v != w:
+            lower = repack(lower, v, w)
+        return (p, step(lower, power, chain, w), w, s, e + d - 1, mu0,
+                b0 * a2 + b1 * a1, b0 * a3 + b1 * a2 + b2 * a1,
+                b0 * a4 + b1 * a3 + b2 * a2 + b3 * a1)
+
+    def top(value):
         power, chain, width, s, d, a0, a1, a2, a3 = value
         return (power + 1, chain, width, s + 1, d + 1, a0, a1 + a0, a2 + a1,
                 a3 + a2)
 
-    return _fold(code, leaf, node)
+    return _fold(code, leaf, _combine(link, top, arity, mirror))
 
 
 def _series_layers(m: int, max_degree: int) -> tuple[list[int], int]:

@@ -72,20 +72,24 @@ class BinaryTree:
 EMPTY = BinaryTree()
 
 
-def _children(tree: BinaryTree) -> tuple[BinaryTree, ...]:
-    return (tree.left, tree.right) if tree.size else ()
-
-
-def _postfix(root, children=_children) -> list[int]:
+def _postfix(root, children=None) -> list[int]:
     """The postfix code of the tree under ``root``: the child count of each
     node in postorder, the children taken in the order ``children(node)``
-    lists them.  The nodes popped from an explicit stack come rightmost
+    lists them, or without ``children``, a binary tree's left and right
+    subtrees.  The nodes popped from an explicit stack come rightmost
     subtree first; reversed, that is the postorder."""
     code, stack = [], [root]
     while stack:
-        kids = children(stack.pop())
-        code.append(len(kids))
-        stack += kids
+        node = stack.pop()
+        if children:
+            kids = children(node)
+            code.append(len(kids))
+            stack += kids
+        elif node.size:  # binary nodes, the common case, call nothing
+            code.append(2)
+            stack += node.left, node.right
+        else:
+            code.append(0)
     code.reverse()
     return code
 

@@ -92,19 +92,23 @@ def test_large_tree_polynomials(seed, sized_folds):
     assert sized_folds == [2 * tree.size + 1] * 2
 
 
-@pytest.mark.parametrize("n", [70, 140])
+@pytest.mark.parametrize("n", [48, 70, 119, 140])
 def test_large_bivar_polynomial(n, sized_folds):
     tree = from_dyck(random_ballot(random.Random(7), 1, n))
     assert tamari_poly_bivar(tree) == tree_poly_sparse(tree, weight=B)
     assert tamari_poly(tree) == tree_poly_sparse(tree)
-    # the b-refined fold switches at half the bits: at 70 nodes only it does
-    assert sized_folds == [2 * n + 1] * (2 if n == 140 else 1)
+    # the b-refined fold switches at two fifths of the bits, 92: at 48 nodes
+    # (93 bits) and 70 only it does; from 119 nodes (234 bits) on both do
+    assert sized_folds == [2 * n + 1] * (2 if n >= 119 else 1)
 
 
-# paths' trees switch at 324 bits: 272 (m = 2) and 288 (m = 3) bits below,
-# 409 and 385 bits above
-@pytest.mark.parametrize("m, n, sized", [(2, 100, False), (2, 150, True),
+# paths' trees switch at 348 bits: 272 and 346 bits below at 100 and 127
+# nodes (m = 2), 288 and 346 at 90 and 108 (m = 3); 349 and 350 bits above
+# at 128 and 109, and 409 and 385 at 150 and 120
+@pytest.mark.parametrize("m, n, sized", [(2, 100, False), (2, 127, False),
+                                         (2, 128, True), (2, 150, True),
                                          (2, 200, True), (3, 90, False),
+                                         (3, 108, False), (3, 109, True),
                                          (3, 120, True), (3, 240, True)])
 def test_large_path_polynomial(m, n, sized, sized_folds, monkeypatch):
     path = BallotPath(m, random_ballot(random.Random(2), m, n))
@@ -119,17 +123,31 @@ def test_large_path_polynomial(m, n, sized, sized_folds, monkeypatch):
     assert len(sized_folds) == (2 if sized else 1)
 
 
+@pytest.mark.parametrize("n", [100, 120, 140])
+def test_fixed_and_sized_folds_agree_on_trees(n, sized_folds, monkeypatch):
+    rng = random.Random(n)
+    trees = (from_dyck(random_ballot(rng, 1, n)), caterpillar(rng, n))
+    folds = (tamari_poly, tamari_poly_mirror, tamari_poly_bivar)
+    values = []
+    for bits in (10 ** 6, 0):  # every fold fixed, then every fold sized
+        monkeypatch.setattr(poly, "_SIZED_FOLD_BITS", bits)
+        values.append([fold(tree) for tree in trees for fold in folds])
+    assert values[0] == values[1]
+    assert sized_folds == [2 * n + 1] * 6
+
+
 def test_small_trees_skip_the_sized_fold(sized_folds):
-    for n in (0, 1, 14, 60, 100):
+    # up to 232 bits: 118 nodes, or 47 (91 bits, of 92) when b-refined
+    for n in (0, 1, 14, 60, 118):
         tree = from_dyck(random_ballot(random.Random(n), 1, n))
         assert tamari_poly(tree) == tree_poly_sparse(tree)
-    for n in (14, 45):
+    for n in (14, 47):
         tree = from_dyck(random_ballot(random.Random(n), 1, n))
         assert tamari_poly_bivar(tree) == tree_poly_sparse(tree, weight=B)
     assert tamari_poly(left_comb(1000)) == Polynomial.monomial(1, ex=1000)
     assert tamari_poly_mirror(right_comb(1000)) == \
         Polynomial.monomial(1, ex=1000)
-    assert tamari_poly(right_comb(100)) == tree_poly_sparse(right_comb(100))
+    assert tamari_poly(right_comb(118)) == tree_poly_sparse(right_comb(118))
     assert sized_folds == []
 
 
@@ -232,8 +250,14 @@ def test_repack_moves_every_slot(size, new_size, data):
     assert _to_polynomial([packed], new_width) == sparse(coeffs)
 
 
-@given(st.lists(st.integers(0, 2 ** 70), max_size=40))
-def test_pack_unpack_and_slope(coeffs):
+slots = st.one_of(st.just(0), st.integers(0, 2 ** 70))
+
+
+@given(st.lists(st.integers(0, 2 ** 70), max_size=40),
+       st.lists(st.lists(slots, max_size=12), max_size=5), st.integers(0, 3))
+@example([], [[5, 0, 0, 7], [], [0, 0], [0, 3, 0]], 1).via(
+    "zero layers between non-zero ones, and interior zero slots")
+def test_pack_unpack_and_slope(coeffs, layers, shift):
     width = _slot_width(sum(coeffs) + 1)
     packed = pack(coeffs, width)
     assert _to_polynomial([packed], width) == sparse(coeffs)
@@ -241,6 +265,15 @@ def test_pack_unpack_and_slope(coeffs):
         sparse(coeffs) * Polynomial.monomial(1, ex=3, ey=1)
     assert _to_polynomial([_slope(packed, width)], width) == \
         delta(sparse(coeffs))
+    # _to_polynomial builds its Polynomial without __init__'s zero filter
+    for by_b in (False, True):
+        value = _to_polynomial([pack(layer, 72) for layer in layers], 72,
+                               shift, by_b)
+        assert value == Polynomial({
+            (ex, 0, d) if by_b else (ex, d, 0): c
+            for d, layer in enumerate(layers)
+            for ex, c in enumerate(layer, shift)})
+        assert all(c for _, c in value.terms())
 
 
 @pytest.mark.parametrize("width", [8, 16, 64, 216])

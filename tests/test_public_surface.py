@@ -37,9 +37,19 @@ KEPT = {
 
 
 def _identifiers(node):
-    for child in ast.walk(node):
+    """The names a scope uses: attributes, imports and the loaded names it
+    does not bind itself (a parameter, a local or a nested definition of
+    the same name is not a use)."""
+    nodes = list(ast.walk(node))
+    bound = {child.arg for child in nodes if isinstance(child, ast.arg)}
+    bound.update(child.id for child in nodes if isinstance(child, ast.Name)
+                 and not isinstance(child.ctx, ast.Load))
+    bound.update(child.name for child in nodes[1:] if isinstance(
+        child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+    for child in nodes:
         if isinstance(child, ast.Name):
-            yield child.id
+            if child.id not in bound:
+                yield child.id
         elif isinstance(child, ast.Attribute):
             yield child.attr
         elif isinstance(child, ast.alias):
@@ -101,8 +111,11 @@ def test_the_guard_sees_unused_names():
                "def documented():\n    return 0\n"
                "class C:\n    def method(self):\n        return 0\n"
                "    def caller(self):\n        return self.method()\n"
-               "    def _private(self):\n        return 0\n")
+               "    def _private(self):\n        return 0\n"
+               "def shadowed():\n    return 0\n"
+               "def _parameter(shadowed):\n    return shadowed\n"
+               "def _local():\n    shadowed = 1\n    return shadowed\n")
     modules = {"lib": (library, True),
                "bench": ("from lib import C\nC().caller()\n", False)}
     assert unused_public_functions(modules, "calls `documented()`") == {
-        "lib.unused", "lib.itself"}
+        "lib.unused", "lib.itself", "lib.shadowed"}
