@@ -26,7 +26,7 @@ from functools import cache
 from math import comb
 from operator import attrgetter
 
-from .poly import (Polynomial, _chain_poly, _series_layers, _slot_sum,
+from .poly import (Polynomial, _chain_fold, _series_layers, _slot_sum,
                    _slot_width, _times_slope, _to_polynomial)
 from .trees import _fold, _postfix
 
@@ -207,11 +207,11 @@ def path_counts(m: int, n: int) -> dict[str, int]:
     size are nodes over the chains of m+1 children of one size less, and
     the chain over a node's last j children is the first of them times D
     of the chain over the other j-1, formed once per such pair and read
-    by every tree that ends in it.  A chain over j leaves is x, and
+    by every tree that ends in it.  A chain over leaves is x, and
     D(x) = 1, so a chain whose first child holds all its nodes is that
-    child's value.  A tree's reading (its path word and the dropped
-    trailing east step) is N, then its children's readings from last to
-    first, joined when the tree is formed from the links of its chain.
+    child's value.  Every tree and chain carries its children's readings
+    from last to first, and a tree's reading (its path word and the
+    dropped trailing east step) is N and then its root chain's.
 
     Width: a chain over a node's last j children has s < n nodes between
     them, and with leaves for the first m+1-j children it becomes the root
@@ -220,7 +220,7 @@ def path_counts(m: int, n: int) -> dict[str, int]:
     divisible by x, so the chain's value at x = 1 is at most that tree's,
     which counts the paths below a path of size s+1: at most the
     Fuss-Catalan count C((m+1)n, n) / (mn+1).  The coefficients are
-    non-negative, so that bounds every coefficient of every chain and
+    non-negative, so that bound covers every coefficient of every chain and
     every partial sum that :func:`tamari.poly._slope` forms, and one width
     holds every chain.  Each count, a root chain's value at x = 1, is below
     2^width, and :func:`tamari.poly._slot_sum` reads it off with one
@@ -228,35 +228,25 @@ def path_counts(m: int, n: int) -> dict[str, int]:
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
     width = _slot_width(comb((m + 1) * n, n) // (m * n + 1))
-    # a tree is (power, packed, reading): x^power times the packed chain;
-    # a chain over j > 1 children of some node is (power, packed, first
-    # child, rest), and over j leaves it is the leaf, x, at any j
-    leaf = (1, 1, "E")
-    # sizes[s][j-1]: the chains over j children with s nodes between them,
-    # which for j = 1 are the trees of s nodes
-    sizes = [[[leaf]] * (m + 1)]
+
+    def link(t, r):  # t * D(r), each (power, packed, reading); D(x) = 1
+        lower = t[1]
+        if r[1] != 1 or r[0] != 1:
+            lower = _times_slope(lower, r[0], r[1], width)
+        return t[0], lower, r[2] + t[2]
+
+    # sizes[s][j]: the chains over j+1 children with s nodes between them,
+    # which for j = 0 are the trees of s nodes; over leaves each is x
+    sizes = [[[(1, 1, "E" * j)] for j in range(1, m + 2)]]
     for s in range(n):
-        chains = sizes[s]
-        if s:
-            for j in range(1, m + 1):
-                made = [(t[0], t[1], t, leaf) for t in chains[0]]
-                for i in range(s):
-                    made += [(t[0], _times_slope(t[1], r[0], r[1], width), t, r)
-                             for t in sizes[i][0] for r in sizes[s - i][j - 1]]
-                chains.append(made)
-        formed = []
-        for chain in chains[m]:
-            parts, link = [], chain
-            while len(link) > 3:
-                parts.append(link[2][2])
-                link = link[3]
-            # the last child's reading, or one E per leaf of a bare rest
-            parts += link[2] * (m + 1 - len(parts)), "N"
-            parts.reverse()
-            formed.append((chain[0] + 1, chain[1], "".join(parts)))
-        sizes.append([formed])
-    return {reading[:-1]: _slot_sum(packed, width)
-            for _, packed, reading in sizes[n][0]}
+        chains = sizes[s]  # all of them for s = 0, else only the trees
+        for j in range(len(chains), m + 1):
+            chains.append([link(t, r) for i in range(s + 1)
+                           for t in sizes[i][0] for r in sizes[s - i][j - 1]])
+        sizes.append([[(power + 1, packed, "N" + word)
+                       for power, packed, word in chains[m]]])
+    return {word[:-1]: _slot_sum(packed, width)
+            for _, packed, word in sizes[n][0]}
 
 
 def phi_m_series(m: int, max_degree: int) -> Polynomial:
@@ -277,5 +267,9 @@ def phi_m_series(m: int, max_degree: int) -> Polynomial:
 
 def mary_tamari_poly(tree: MAryTree) -> Polynomial:
     """Counting polynomial of a prefix-read tree: x on leaves, the chained
-    slope form on each node's children in left-to-right order."""
-    return _chain_poly(_postfix(tree, _mary_children), mary=True)
+    slope form on each node's children in left-to-right order, and y on
+    each node: :func:`tamari.poly._chain_fold`'s value times y^(nodes)."""
+    code = _postfix(tree, _mary_children)
+    power, packed, width = _chain_fold(code)
+    return _to_polynomial([0] * (len(code) - code.count(0)) + [packed], width,
+                          power)

@@ -346,14 +346,10 @@ _SIZED_FOLD_BITS = 232
 
 
 def _chain_poly(code: bytes | list[int], bivar: bool = False,
-                mary: bool = False, mirror: bool = False) -> Polynomial:
-    """The value of :func:`_chain_fold` as a polynomial: divided by x, the
-    tree polynomial, its packed layers by b-degree; with ``mary``, the
-    value times y^(number of nodes)."""
+                mirror: bool = False) -> Polynomial:
+    """The tree polynomial of a binary tree's postfix code: the value of
+    :func:`_chain_fold` divided by x, its packed layers by b-degree."""
     power, packed, width = _chain_fold(code, bivar, mirror)
-    if mary:
-        nodes = len(code) - code.count(0)
-        return _to_polynomial([0] * nodes + [packed], width, power)
     return _to_polynomial(packed if bivar else [packed], width, power - 1,
                           by_b=True)
 
@@ -366,10 +362,10 @@ def _chain_fold(code: bytes | list[int], bivar: bool = False,
     that is x * (x*L) * D(x*R), x times the tree polynomial.  The value
     is returned as (power, packed, width): x^power times the packed
     polynomial whose slots are ``width`` bits wide, or with ``bivar``, a
-    list of those by b-degree.  With ``mirror``, each node's children are
-    taken right to left: on a binary tree's code, that is the fold of its
-    mirror image's code.  The code is a list of child counts, or those
-    counts as bytes as the parsers yield.
+    list of those by b-degree.  With ``mirror``, which only a binary
+    tree's code takes, each node's two children are swapped: that is the
+    fold of its mirror image's code.  The code is a list of child counts,
+    or those counts as bytes as the parsers yield.
 
     Each node is a right fold of one link over its children, link(f, v) =
     f * D(v), and then one top step that multiplies by the node's x (see
@@ -414,17 +410,15 @@ def _chain_fold(code: bytes | list[int], bivar: bool = False,
 
 def _combine(link, top, arity: int, mirror: bool):
     """The combine that :func:`~tamari.trees._fold` calls on a node's
-    children c_1 .. c_k: top(link(c_1, link(c_2, ... link(c_(k-1), c_k)))),
-    the children taken right to left if ``mirror``.  A binary node is one
-    link of its two values, with no argument tuple."""
+    children c_1 .. c_k: top(link(c_1, link(c_2, ... link(c_(k-1), c_k)))).
+    A binary node is one link of its two values, with no argument tuple,
+    and ``mirror`` swaps them; only binary codes are mirrored."""
     if arity == 2:
         if mirror:
             return lambda left, right: top(link(right, left))
         return lambda left, right: top(link(left, right))
 
     def node(*children):
-        if mirror:
-            children = children[::-1]
         value = children[-1]
         for f in children[-2::-1]:
             value = link(f, value)

@@ -1,4 +1,5 @@
-"""Mutants of the packed kernels, each with the tests that must kill it.
+"""Mutants of the packed kernels and of the shared path fold, each with the
+tests that must kill it.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -10,8 +11,9 @@ the README and ``pyproject.toml`` to a temporary directory, applies one
 mutant at a time to the copy, and runs ``python -m pytest -x -q`` on its
 ids there, so the checkout and its hypothesis database stay untouched.
 It prints each mutant as killed or survived and exits 1 when any survived
-or its tests could not run.  pytest does not collect this file; ``test_mutants.py``
-checks that every old text still occurs exactly once.
+or its tests could not run.  pytest does not collect this file;
+``test_mutants.py`` checks that every old text still occurs exactly once
+and that pytest collects every test id.
 """
 
 from __future__ import annotations
@@ -85,6 +87,35 @@ MUTANTS = {
         "stack += node.left, node.right",
         "stack += node.right, node.left",
         ("tests/test_packed.py::test_top_tree_polynomials[3]",)),
+    "shared path fold takes a power of x for x": Mutant(
+        "mtamari.py",
+        "        if r[1] != 1 or r[0] != 1:\n",
+        "        if r[1] != 1:\n",
+        ("tests/test_mtamari.py::"
+         "test_shared_fold_matches_the_fold_of_each_path[5-4]",)),
+    "shared path fold reads the first child first": Mutant(
+        "mtamari.py",
+        "r[2] + t[2]",
+        "t[2] + r[2]",
+        ("tests/test_mtamari.py::"
+         "test_shared_fold_matches_the_fold_of_each_path[5-4]",)),
+    "shared path fold skips the split with no nodes in the rest": Mutant(
+        "mtamari.py",
+        "for i in range(s + 1)",
+        "for i in range(s)",
+        ("tests/test_mtamari.py::"
+         "test_shared_fold_matches_the_fold_of_each_path[5-4]",)),
+    "shared path fold drops each node's north step": Mutant(
+        "mtamari.py",
+        '"N" + word',
+        "word",
+        ("tests/test_mtamari.py::"
+         "test_shared_fold_matches_the_fold_of_each_path[5-4]",)),
+    "m-ary polynomial one y short": Mutant(
+        "mtamari.py",
+        "[0] * (len(code) - code.count(0))",
+        "[0] * (len(code) - code.count(0) - 1)",
+        ("tests/test_packed.py::test_top_path_polynomials[2]",)),
 }
 
 

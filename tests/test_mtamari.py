@@ -287,9 +287,10 @@ def test_shared_fold_counts_match_every_route(m, n):
             value.subs(x=1, y=1).constant()
 
 
-@pytest.mark.parametrize("m, n", [(2, 5), (3, 5), (4, 4), (50, 3),
-                                  (300, 2), (1500, 1)])
+@pytest.mark.parametrize("m, n", [(2, 5), (3, 5), (4, 4), (5, 4), (5, 5),
+                                  (50, 3), (300, 2), (1500, 1)])
 def test_shared_fold_matches_the_fold_of_each_path(m, n):
+    # m = 5 is the largest slope mtamari-verify takes (cli.SLOPE_CAP)
     table = path_counts(m, n)
     paths = enumerate_ballot_paths(m, n)
     assert len(table) == len(paths)
@@ -323,7 +324,8 @@ def chain_count(m, j, s):
     return j * comb((m + 1) * s + j, s) // ((m + 1) * s + j)
 
 
-@pytest.mark.parametrize("m, n", [(1, 1), (1, 6), (2, 4), (3, 5), (40, 2)])
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 6), (2, 4), (3, 5), (5, 4),
+                                  (40, 2)])
 def test_shared_fold_forms_each_chain_once(monkeypatch, m, n):
     # one product per chain over j >= 2 children of s < n nodes, except
     # when the first child holds all s nodes and the rest is x: D(x) = 1

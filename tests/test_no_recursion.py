@@ -1,10 +1,14 @@
-"""No function of the package refers to itself, apart from a few whose
-recursion depth a size cap bounds.
+"""No function of the package recurses, apart from a few whose recursion
+depth a size cap bounds.
 
 Tree walks run on explicit stacks so that trees of any depth work under
 the default recursion limit; this guard keeps recursion from coming back.
-A function counts as recursive when its body (nested functions included)
-names it, as a plain name or as ``self.<name>`` or ``cls.<name>``.
+It reports cycles.  A function, method or nested function whose body
+(nested functions included) names it, as a plain name or as
+``self.<name>`` or ``cls.<name>``, is a cycle of one.  Among a module's
+top-level functions, a function calls each one whose name its body reads,
+and every function on a cycle of such calls is reported with the others on
+it, so a recursion routed through a helper shows too.
 """
 
 import ast
@@ -14,20 +18,22 @@ import tamari
 
 SOURCE = Path(tamari.__file__).parent
 
-# the recursive functions that may stay, each with the bound on its depth
+# the cycles that may stay, each with the bound on its depth
 ALLOWED = {
-    "order.bst_relation.walk":
+    ("order.bst_relation.walk",):
         "the oracle's own forest builder, kept apart from the code it checks; "
         "sylvester_class caps its trees at PERM_CAP",
-    "order.linear_extensions_of_relation.extend":
+    ("order.linear_extensions_of_relation.extend",):
         "depth n, at most max_n (PERM_CAP unless raised)",
-    "trees._trees_of_size":
+    ("trees._trees_of_size",):
         "depth n; the trees are enumerated only up to the CLI caps",
-    "compose._posets_of_size":
+    ("compose._bottoms", "compose._posets_of_size", "compose._terms"):
         "depth n; interval-posets are enumerated only up to ENUMERATION_CAP",
-    "mtamari.path_upset":
+    ("mtamari.path_upset",):
         "depth of a rotation chain, bounded by the paths of one size",
 }
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _names_itself(node, name):
@@ -44,8 +50,7 @@ def _refers_to(function, name):
 
 def _recursive_functions(node, prefix):
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.ClassDef)):
+        if isinstance(child, (*FUNCTIONS, ast.ClassDef)):
             qualname = f"{prefix}.{child.name}"
             is_function = not isinstance(child, ast.ClassDef)
             if is_function and _refers_to(child, child.name):
@@ -55,16 +60,47 @@ def _recursive_functions(node, prefix):
             yield from _recursive_functions(child, prefix)
 
 
-def recursive_functions():
+def _call_cycles(module, stem):
+    """The cycles of calls among a module's top-level functions, each as
+    the sorted qualified names of its members; a function calls each one
+    whose name its body reads."""
+    functions = {child.name: child for child in module.body
+                 if isinstance(child, FUNCTIONS)}
+    calls = {name: {node.id for statement in function.body
+                    for node in ast.walk(statement)
+                    if isinstance(node, ast.Name) and node.id in functions}
+             for name, function in functions.items()}
+    reach = {}  # the functions each one reaches by one call or more
+    for name in functions:
+        seen, stack = set(), [name]
+        while stack:
+            new = calls[stack.pop()] - seen
+            seen |= new
+            stack += new
+        reach[name] = seen
+    for name, seen in reach.items():
+        if name in seen:
+            yield tuple(sorted(f"{stem}.{other}" for other in seen
+                               if name in reach[other]))
+
+
+def cycles(module, stem):
+    found = set(_call_cycles(module, stem))
+    members = {qualname for cycle in found for qualname in cycle}
+    return found | {(qualname,) for qualname in _recursive_functions(
+        module, stem) if qualname not in members}
+
+
+def recursive_cycles():
     found = set()
     for path in sorted(SOURCE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found.update(_recursive_functions(tree, path.stem))
+        found |= cycles(ast.parse(path.read_text(), filename=str(path)),
+                        path.stem)
     return found
 
 
 def test_only_size_capped_functions_recurse():
-    assert recursive_functions() == set(ALLOWED)
+    assert recursive_cycles() == set(ALLOWED)
 
 
 def test_the_guard_sees_recursion():
@@ -72,6 +108,8 @@ def test_the_guard_sees_recursion():
               "def g():\n    def walk(t):\n        walk(t)\n"
               "class C:\n    def m(self):\n        return self.m()\n"
               "    def __init__(self):\n        super().__init__()\n"
-              "def h():\n    return 0\n")
-    assert set(_recursive_functions(ast.parse(source), "x")) == {
-        "x.f", "x.g.walk", "x.C.m"}
+              "def h():\n    return f(0) + p(1)\n"
+              "def p(n):\n    return q(n)\n"
+              "def q(n):\n    return p(n - 1) if n else 0\n")
+    assert cycles(ast.parse(source), "x") == {
+        ("x.f",), ("x.g.walk",), ("x.C.m",), ("x.p", "x.q")}

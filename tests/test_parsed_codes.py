@@ -168,10 +168,12 @@ def test_text_tamari_poly_rejects_an_unknown_variant():
 @pytest.mark.parametrize("m, n", [(1, 4), (1, 5), (2, 3), (2, 4), (3, 3),
                                   (300, 2)])
 def test_path_code_folds_to_the_tree_polynomial(m, n):
-    # m = 300 takes child counts past one byte
+    # m = 300 takes child counts past one byte; mary_tamari_poly folds
+    # the tree's postfix code, which is the path's own code
     for p in mtamari.enumerate_ballot_paths(m, n):
-        value = mtamari.mary_tamari_poly(mtamari.path_to_mary_prefix(p))
-        assert _chain_poly(mtamari._path_code(p), mary=True) == value
+        tree = mtamari.path_to_mary_prefix(p)
+        assert mtamari._path_code(p) == _postfix(tree, mtamari._mary_children)
+        value = mtamari.mary_tamari_poly(tree)
         assert path_count(p) == value.subs(x=1, y=1).constant()
 
 
