@@ -175,7 +175,7 @@ def _decode_sorted(n: int, width: int, parts) -> list[IntervalPoset]:
     for i, key in enumerate(keys):
         low = -key & below
         packed = (full ^ (key + low) >> shift) & -low
-        keys[i] = _poset(unpack(packed.to_bytes(size).translate(_REVERSED)))
+        keys[i] = _poset(unpack(packed.to_bytes(size, "big").translate(_REVERSED)))
     return keys
 
 

@@ -14,8 +14,8 @@ forest of T and the increasing forest of T'.
 
 A poset is the tuple of its rows, one closed successor mask per vertex:
 bit b-1 of ``p[a-1]`` is set iff a prec b, and its size is ``len(p)``.
-Arbitrary relations are closed by a Warshall pass and checked by one mask
-test per relation; a union of two forests needs one test at each vertex's
+Arbitrary relations are closed by a Warshall pass and checked along
+neighbouring rows; a union of two forests needs one test at each vertex's
 two nearest successors.  The text format serializes the transitive
 reduction.
 """
@@ -138,7 +138,9 @@ _poset = partial(tuple.__new__, IntervalPoset)
 
 
 def _close_and_check(n: int, succ: list[int]) -> IntervalPoset:
-    """Close the masks in place and check antisymmetry and both axioms."""
+    """Close the masks in place and check antisymmetry and both axioms:
+    p prec q with q > p+1 breaks increasing closure iff row p+1 misses q
+    or p+1 prec q breaks it, so one pass down the rows marks them all."""
     for k in range(n):
         bit, row = 1 << k, succ[k]
         for a in range(n):
@@ -151,20 +153,24 @@ def _close_and_check(n: int, succ: list[int]) -> IntervalPoset:
             raise IntervalPosetError(
                 f"antisymmetry violated: cycle through {a + 1} and {b}",
                 "antisymmetry", (a + 1, b))
-    pred = [0] * n  # the transpose: bit a-1 of pred[b-1] iff a prec b
-    for a, row in enumerate(succ):
-        for b in _labels(row):
-            pred[b - 1] |= 1 << a
-    for p, row in enumerate(succ, 1):
-        for q in _labels(row):
-            missing = _span(min(p, q) + 1, max(p, q) - 1) & ~pred[q - 1]
-            if missing:
-                b = (missing & -missing).bit_length()
-                axiom = "increasing-closure" if p < q else "decreasing-closure"
-                witness = (p, b, q) if p < q else (q, b, p)
-                raise IntervalPosetError(
-                    f"{axiom} violated: {p}<{q} needs {b}<{q}, "
-                    f"witness {witness}", axiom, witness)
+    bad = [0] * n  # bit q-1 of bad[p-1] set: p prec q breaks an axiom
+    for a in range(n - 3, -1, -1):
+        bad[a] = succ[a] >> a + 2 << a + 2 & (bad[a + 1] | ~succ[a + 1])
+    # a smaller q that row p-1 holds but a label between misses makes row
+    # p-1 fail first, so on this side only row p-1 itself is tested
+    for a in range(2, n):
+        bad[a] |= succ[a] & (1 << a - 1) - 1 & ~succ[a - 1]
+    for p, row in enumerate(bad, 1):
+        if row:
+            q = (row & -row).bit_length()
+            b = min(p, q) + 1
+            while succ[b - 1] >> q - 1 & 1:
+                b += 1
+            axiom = "increasing-closure" if p < q else "decreasing-closure"
+            witness = (p, b, q) if p < q else (q, b, p)
+            raise IntervalPosetError(
+                f"{axiom} violated: {p}<{q} needs {b}<{q}, "
+                f"witness {witness}", axiom, witness)
     return _poset(succ)
 
 
@@ -321,20 +327,18 @@ def _end_vectors(poset: IntervalPoset) -> tuple[list[int], list[int]]:
     In the upper tree a precedes a larger label b exactly when a lies in
     b's left subtree, so a's right subtree ends just below the smallest
     larger label a precedes, or at n.  In the lower tree a larger label b
-    precedes a exactly when b lies in a's right subtree, so that subtree
-    ends at the largest such b: scanning b from n down, each smaller label
-    in b's row that no larger b has claimed takes it."""
+    precedes a exactly when b lies in a's right subtree; these b run on
+    from a+1 (decreasing closure), so a's end jumps to the end of the
+    label after it while that label precedes a."""
     n, hi = len(poset), []
     for a, row in enumerate(poset, 1):
         above = row >> a
         hi.append((above & -above).bit_length() - 1 if above else n - a)
-    lo, assigned = [0] * n, 0
-    for b in range(n, 0, -1):
-        below = poset[b - 1] & ((1 << (b - 1)) - 1) & ~assigned
-        assigned |= below
-        for a in _labels(below):
-            lo[a - 1] = b - a
-    return lo, hi
+    end = list(range(n))  # 0-based, as the labels of the bracket vectors
+    for a in range(n - 2, -1, -1):
+        while end[a] < n - 1 and poset[end[a] + 1] >> a & 1:
+            end[a] = end[end[a] + 1]
+    return [e - a for a, e in enumerate(end)], hi
 
 
 def _interval_positions(poset: IntervalPoset, max_n: int) -> list[int]:

@@ -229,6 +229,19 @@ def chapoton_count_factorial(n: int) -> int:
             // (factorial(n + 1) * factorial(3 * n + 2)))
 
 
+def contact_count(n: int, k: int) -> int:
+    """The number of intervals of size n whose lower tree has k contacts
+    (the coefficient of x^k y^n in Phi), for 1 <= k <= n, by the closed
+    form k * C(2k+2, k+1) * (4n-2k-1)! / ((n-k)! * (3n-k+1)!)."""
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    count, rest = divmod(k * comb(2 * k + 2, k + 1)
+                         * factorial(4 * n - 2 * k - 1),
+                         factorial(n - k) * factorial(3 * n - k + 1))
+    assert rest == 0
+    return count
+
+
 def pack_poset(relations, width: int) -> int:
     """An interval-poset as the enumeration packs it: the pair (a, b) at
     bit width*width - (a-1)*width - b, read off the pair set."""

@@ -11,9 +11,10 @@ the README and ``pyproject.toml`` to a temporary directory, applies one
 mutant at a time to the copy, and runs ``python -m pytest -x -q`` on its
 ids there, so the checkout and its hypothesis database stay untouched.
 It prints each mutant as killed or survived and exits 1 when any survived
-or its tests could not run.  pytest does not collect this file;
-``test_mutants.py`` checks that every old text still occurs exactly once
-and that pytest collects every test id.
+or its tests could not run.  ``SURVIVORS`` lists the known survivors,
+each with the reason that no test can kill it; they are not run.  pytest
+does not collect this file; ``test_mutants.py`` checks that every old
+text still occurs exactly once and that pytest collects every test id.
 """
 
 from __future__ import annotations
@@ -116,6 +117,62 @@ MUTANTS = {
         "[0] * (len(code) - code.count(0))",
         "[0] * (len(code) - code.count(0) - 1)",
         ("tests/test_packed.py::test_top_path_polynomials[2]",)),
+    "axiom check carries no failure from the next row": Mutant(
+        "intervalposet.py",
+        "(bad[a + 1] | ~succ[a + 1])",
+        "~succ[a + 1]",
+        ("tests/test_deep_trees.py::"
+         "test_increasing_failure_carried_down_the_rows[8]",
+         "tests/test_properties.py::test_validate_matches_sparse_reference")),
+    "axiom check flags the next label up": Mutant(
+        "intervalposet.py",
+        "succ[a] >> a + 2 << a + 2",
+        "succ[a] >> a + 1 << a + 1",
+        ("tests/test_properties.py::test_validate_matches_sparse_reference",)),
+    "axiom check starts its upward pass one row lower": Mutant(
+        "intervalposet.py",
+        "range(n - 3, -1, -1)",
+        "range(n - 4, -1, -1)",
+        ("tests/test_deep_trees.py::"
+         "test_increasing_failure_carried_down_the_rows[8]",
+         "tests/test_properties.py::test_validate_matches_sparse_reference")),
+    "axiom check flags the next label down": Mutant(
+        "intervalposet.py",
+        "(1 << a - 1) - 1",
+        "(1 << a) - 1",
+        ("tests/test_properties.py::test_validate_matches_sparse_reference",)),
+    "axiom check tests the second label down": Mutant(
+        "intervalposet.py",
+        "~succ[a - 1]",
+        "~succ[a - 2]",
+        ("tests/test_properties.py::test_validate_matches_sparse_reference",)),
+    "axiom witness skips the first label between": Mutant(
+        "intervalposet.py",
+        "b = min(p, q) + 1",
+        "b = min(p, q) + 2",
+        ("tests/test_deep_trees.py::"
+         "test_decreasing_failure_at_the_lowest_row[8]",
+         "tests/test_properties.py::test_validate_matches_sparse_reference")),
+}
+
+
+class Survivor(NamedTuple):
+    module: str
+    old: str
+    new: str
+    reason: str
+
+
+# mutants that no test can kill, each with the reason that it returns the
+# same answers; the script does not run them
+SURVIVORS = {
+    "lower end vector steps one label at a time": Survivor(
+        "intervalposet.py",
+        "end[a] = end[end[a] + 1]",
+        "end[a] = end[a] + 1",
+        "the larger labels that precede a are contiguous (decreasing "
+        "closure), so stepping over them one by one ends where the jumps "
+        "do, only in O(n^2) steps"),
 }
 
 

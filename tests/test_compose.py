@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from helpers import (compose_sparse, decompose_sparse, pack_poset,
-                     tree_upsets, unpack_relations)
+from helpers import (compose_sparse, contact_count, decompose_sparse,
+                     pack_poset, tree_upsets, unpack_relations)
 from tamari.compose import (_decode_sorted, _posets_of_size, _terms, _width,
                             compose, count_interval_posets, decompose,
                             enumerate_interval_posets, initial_interval_sum)
@@ -101,6 +101,13 @@ def test_decompose_worked_instance():
     assert decompose(single) == (IntervalPoset(0), IntervalPoset(0))
     with pytest.raises(ValueError):
         decompose(IntervalPoset(0))
+
+
+def test_contact_counts_match_the_closed_form():
+    for n in range(1, 9):
+        contacts = Counter(stat_monomial(p).terms()[0][0][0]
+                           for p in enumerate_interval_posets(n))
+        assert contacts == {k: contact_count(n, k) for k in range(1, n + 1)}
 
 
 def test_decompose_compose_roundtrip():

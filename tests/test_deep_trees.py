@@ -11,13 +11,15 @@ import sys
 
 import pytest
 
-from helpers import bracket_vector, left_comb, mary_to_path_prefix, right_comb
+from helpers import (bracket_vector, left_comb, mary_to_path_prefix,
+                     right_comb, validate_sparse)
 from tamari.cli import main
 from tamari.compose import compose, decompose
-from tamari.intervalposet import (_end_vectors, dec_forest, inc_forest,
-                                  interval_literals, lower_tree,
+from tamari.intervalposet import (IntervalPoset, IntervalPosetError,
+                                  _end_vectors, dec_forest, inc_forest,
+                                  interval_literals, intersect, lower_tree,
                                   make_interval, trees_in_interval,
-                                  upper_tree)
+                                  upper_tree, validate)
 from tamari.mtamari import (LEAF, BallotPath, MAryTree, mary_tamari_poly,
                             path_to_mary_prefix)
 from tamari.order import CapacityError
@@ -27,6 +29,9 @@ from tamari.trees import (EMPTY, BinaryTree, format_tree, from_dyck,
                           parse_tree, rotate_right_at, to_dyck)
 
 DEPTH = 10_000
+# posets read from text or intersected are still closed by a Warshall pass
+# of n^2 row tests, so they are checked at a size of their own
+INTERVAL_SIZE = 1_000
 LEAF_NODE = BinaryTree(EMPTY, EMPTY)
 
 
@@ -149,6 +154,44 @@ def test_deep_end_vectors():
                          (tree, tree)):
         assert _end_vectors(make_interval(lower, upper)) == (
             bracket_vector(lower), bracket_vector(upper))
+
+
+@pytest.mark.parametrize("tree", [
+    left_comb(INTERVAL_SIZE), random_tree(random.Random(29), INTERVAL_SIZE),
+], ids=["left-comb", "random"])
+def test_large_one_tree_interval_read_and_intersected(tree):
+    poset = make_interval(tree, tree)
+    assert IntervalPoset.from_text(poset.to_text()) == poset
+    whole = make_interval(left_comb(INTERVAL_SIZE), right_comb(INTERVAL_SIZE))
+    assert intersect(poset, whole) == poset
+
+
+def _closure_failure(check, n, pairs):
+    with pytest.raises(IntervalPosetError) as info:
+        check(n, pairs)
+    return info.value.axiom, info.value.witness
+
+
+@pytest.mark.parametrize("n", [8, INTERVAL_SIZE])
+def test_increasing_failure_carried_down_the_rows(n):
+    # a chain 1<2<...<n-1 and n-2<n: 1<n holds, and n-1 is the only label
+    # between that misses n, a failure carried from row n-2 to row 1
+    pairs = [(a, a + 1) for a in range(1, n - 1)] + [(n - 2, n)]
+    expected = ("increasing-closure", (1, n - 1, n))
+    assert _closure_failure(validate, n, pairs) == expected
+    if n == 8:
+        assert _closure_failure(validate_sparse, n, pairs) == expected
+
+
+@pytest.mark.parametrize("n", [8, INTERVAL_SIZE])
+def test_decreasing_failure_at_the_lowest_row(n):
+    # a chain n<...<3<2 and 3<1: every label from 3 up precedes 1, but 2
+    # does not, so row 3 fails first, at its neighbour
+    pairs = [(a + 1, a) for a in range(2, n)] + [(3, 1)]
+    expected = ("decreasing-closure", (1, 2, 3))
+    assert _closure_failure(validate, n, pairs) == expected
+    if n == 8:
+        assert _closure_failure(validate_sparse, n, pairs) == expected
 
 
 def test_deep_listings_are_refused_before_any_enumeration():

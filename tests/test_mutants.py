@@ -1,10 +1,10 @@
 """The mutant catalogue of ``mutants.py`` still applies to the code.
 
 Running the catalogue takes minutes, so tier-1 only checks that it cannot
-rot silently: each old text occurs exactly once in its module, and pytest
-collects every test id that must kill a mutant, so each names an existing
-file, a test function defined in it and, where given, one of its
-parameter sets.
+rot silently: each old text occurs exactly once in its module (the known
+survivors' too), and pytest collects every test id that must kill a
+mutant, so each names an existing file, a test function defined in it
+and, where given, one of its parameter sets.
 """
 
 import os
@@ -13,12 +13,12 @@ import sys
 
 import pytest
 
-from mutants import MUTANTS, ROOT
+from mutants import MUTANTS, ROOT, SURVIVORS
 
 
-@pytest.mark.parametrize("name", sorted(MUTANTS))
+@pytest.mark.parametrize("name", sorted(MUTANTS.keys() | SURVIVORS.keys()))
 def test_each_mutant_applies_once(name):
-    mutant = MUTANTS[name]
+    mutant = MUTANTS.get(name) or SURVIVORS[name]
     text = (ROOT / "src" / "tamari" / mutant.module).read_text()
     assert text.count(mutant.old) == 1
     assert mutant.new != mutant.old

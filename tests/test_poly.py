@@ -1,7 +1,7 @@
 import pytest
 
-from helpers import (chapoton_count_factorial, mirror, phi_series_fixed_point,
-                     tree_downsets, tree_upsets)
+from helpers import (chapoton_count_factorial, contact_count, mirror,
+                     phi_series_fixed_point, tree_downsets, tree_upsets)
 from tamari.poly import (ONE, X, Polynomial, bilinear_B, bilinear_B_bivar,
                          chapoton_count, delta, parse_polynomial, phi_series,
                          tamari_poly, tamari_poly_bivar, tamari_poly_mirror)
@@ -186,6 +186,15 @@ def test_phi_series_matches_fixed_point():
     reference = phi_series_fixed_point(12)
     for n in range(13):
         assert phi_series(n) == reference.truncate_y(n)
+
+
+def test_phi_series_matches_the_contact_closed_form():
+    # every x-slot of Phi through y^60, where the fixed point stops at 12
+    phi = phi_series(60)
+    for n in range(1, 61):
+        assert phi.y_coefficient(n) == sum(
+            (Polynomial.monomial(contact_count(n, k), ex=k)
+             for k in range(1, n + 1)), Polynomial()), n
 
 
 def test_phi_series_matches_tree_sums():
