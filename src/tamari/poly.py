@@ -18,8 +18,10 @@ which Chapoton's equation Phi = B(Phi, Phi) + 1 is the m = 1 case.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from math import comb, log2
-from operator import mul
+from operator import itemgetter, mul
+from struct import iter_unpack
 
 from .trees import BinaryTree, _fold, _parse_code, _postfix
 
@@ -279,10 +281,15 @@ def _slot_sum(packed: int, width: int) -> int:
     return residue if residue or not packed else mask
 
 
+_first = itemgetter(0)
+
+
 def _to_polynomial(layers: list[int], width: int, shift: int = 0,
                    by_b: bool = False) -> Polynomial:
     """The polynomial with slot i of layers[d] on x^(i+shift) * y^d, or on
-    x^(i+shift) * b^d when ``by_b``.  Its keys are never negative and its
+    x^(i+shift) * b^d when ``by_b``.  Each non-zero layer is split into
+    its slots by one to_bytes and one struct pass, and each slot read by a
+    from_bytes that ``map`` calls.  Its keys are never negative and its
     zero slots are dropped, so it is built without __init__'s checks."""
     size = width // 8
     terms = {}
@@ -291,8 +298,8 @@ def _to_polynomial(layers: list[int], width: int, shift: int = 0,
             continue
         data = packed.to_bytes(-(-packed.bit_length() // width) * size,
                                "little")
-        slots = [int.from_bytes(data[i:i + size], "little")
-                 for i in range(0, len(data), size)]
+        pieces = map(_first, iter_unpack(f"<{size}s", data))
+        slots = map(int.from_bytes, pieces, repeat("little"))
         ey, eb = (0, d) if by_b else (d, 0)
         terms.update({(ex, ey, eb): c for ex, c in enumerate(slots, shift)
                       if c})
@@ -369,18 +376,21 @@ def _chain_fold(code: bytes | list[int], bivar: bool = False,
 
     Each node is a right fold of one link over its children, link(f, v) =
     f * D(v), and then one top step that multiplies by the node's x (see
-    :func:`_combine`): a binary node is top(link(left, right)).  A power
-    of x stays an exponent until its chain is differentiated, and D(x) = 1
-    makes the link pass f on unchanged, so a comb costs one increment per
-    node.  Width: every chain c is divisible by x, so D(c)(1) >= c(1) at
-    b = 1 and values grow toward the root, whose value at x = b = 1 counts
-    the trees below (above, if mirrored) or the paths below: at most the
-    Fuss-Catalan number C((m+1)N, N) / (mN+1) for N nodes of m+1 children.
-    As D(x) = 1 and D(c)(1) <= deg(c) * c(1) <= (N+1) * c(1), it is also at
+    :func:`_combine`).  A binary node is top(link(left, right)), which this
+    fold computes in one call, ``node``, with one :func:`_times_slope` when
+    the right value is not x.  A power of x stays an exponent until its
+    chain is differentiated, and D(x) = 1 makes the link pass f on
+    unchanged, so a comb costs one increment per node.  Width: every chain
+    c is divisible by x, so D(c)(1) >= c(1) at b = 1 and values grow
+    toward the root, whose value at x = b = 1 counts the trees below
+    (above, if mirrored) or the paths below: at most the Fuss-Catalan
+    number C((m+1)N, N) / (mN+1) for N nodes of m+1 children.  As
+    D(x) = 1 and D(c)(1) <= deg(c) * c(1) <= (N+1) * c(1), it is also at
     most (N+1)^s, s = mN less the nodes whose last child is a leaf (0, m+1).
     All coefficients are non-negative, so that bound on the root's value
     bounds every coefficient of every chain, and of every partial sum that
-    :func:`_slope` forms, which adds consecutive coefficients of one chain.
+    the doubling of :func:`_slope` forms, which adds consecutive
+    coefficients of one chain.
     Up to _SIZED_FOLD_BITS bits it gives the one width of the whole fold;
     past them, :func:`_sized_fold` narrows each chain's slots.
     """
@@ -392,19 +402,25 @@ def _chain_fold(code: bytes | list[int], bivar: bool = False,
         power, packed, width = _sized_fold(code, width, bivar, mirror)[:3]
     else:
         leaf = (1, [1] if bivar else 1)
+        step = _times_slope_b if bivar else _times_slope
 
         def link(f, value):  # f * D(value); D(x) = 1
-            if value is leaf:
-                return f
-            power, chain = value
-            if bivar:
-                return f[0], _times_slope_b(f[1], power, chain, width)
-            return f[0], f[1] * _slope(chain << power * width, width)
+            return f if value is leaf else (f[0], step(f[1], *value, width))
 
         def top(value):
             return value[0] + 1, value[1]
 
-        power, packed = _fold(code, leaf, _combine(link, top, arity, mirror))
+        def node(f, value):  # top(link(f, value)), calling neither
+            if value is leaf:
+                return f[0] + 1, f[1]
+            return f[0] + 1, step(f[1], *value, width)
+
+        if arity == 2:
+            combine = (lambda left, right: node(right, left)) if mirror \
+                else node
+        else:
+            combine = _combine(link, top, arity, mirror)
+        power, packed = _fold(code, leaf, combine)
     return power, packed, width
 
 
@@ -445,8 +461,16 @@ def _root_bound(code: bytes | list[int], nodes: int, arity: int,
 
 
 def _times_slope(lower: int, power: int, chain: int, width: int) -> int:
-    """lower * D(x^power * chain) on packed ints."""
-    return lower * _slope(chain << power * width, width)
+    """lower * D(x^power * chain) on packed ints, for power >= 1 (every
+    chain is divisible by x): the doubling of :func:`_slope` run on
+    x^(power-1) * chain, which is x^power * chain shifted down one slot,
+    in the same call as the product."""
+    out = chain << (power - 1) * width
+    step = width
+    while shifted := out >> step:
+        out += shifted
+        step <<= 1
+    return lower * out
 
 
 def _times_slope_b(lower: list[int], power: int, chain: list[int],

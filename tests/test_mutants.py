@@ -4,7 +4,9 @@ Running the catalogue takes minutes, so tier-1 only checks that it cannot
 rot silently: each old text occurs exactly once in its module (the known
 survivors' too), and pytest collects every test id that must kill a
 mutant, so each names an existing file, a test function defined in it
-and, where given, one of its parameter sets.
+and, where given, one of its parameter sets.  It also checks, on canned
+pytest reports, that a mutant counts as killed only when each of its ids
+failed.
 """
 
 import os
@@ -13,7 +15,7 @@ import sys
 
 import pytest
 
-from mutants import MUTANTS, ROOT, SURVIVORS
+from mutants import MUTANTS, ROOT, SURVIVORS, not_failed
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS.keys() | SURVIVORS.keys()))
@@ -33,3 +35,38 @@ def test_every_test_id_is_collected():
         cwd=ROOT, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+REPORT = """\
+F.FE                                                                    [100%]
+================================== FAILURES ==================================
+________________________ test_top_tree_polynomials[3] ________________________
+E       assert Polynomial(x^3) == Polynomial(x + x^2)
+========================== short test summary info ===========================
+FAILED tests/test_packed.py::test_top_tree_polynomials[3] - assert Polynomi...
+FAILED tests/test_poly.py::test_phi_series[12] - AssertionError
+ERROR tests/test_deep_trees.py::test_comb - RecursionError: maximum recursi...
+2 failed, 1 passed, 1 error in 0.61s
+"""
+
+
+@pytest.mark.parametrize("ids, passed", [
+    pytest.param(("tests/test_packed.py::test_top_tree_polynomials[3]",
+                  "tests/test_deep_trees.py::test_comb"), [],
+                 id="a failure and an error"),
+    pytest.param(("tests/test_packed.py::test_top_tree_polynomials[3]",
+                  "tests/test_packed.py::test_top_tree_polynomials[4]"),
+                 ["tests/test_packed.py::test_top_tree_polynomials[4]"],
+                 id="one id passed"),
+    # a function id stands for its parameter sets, and fails with any
+    pytest.param(("tests/test_poly.py::test_phi_series",), [],
+                 id="a function failed through one parameter set"),
+    pytest.param(("tests/test_poly.py::test_phi",),
+                 ["tests/test_poly.py::test_phi"], id="a prefix only"),
+    pytest.param(("tests/test_packed.py::test_top_tree_polynomials[3",),
+                 ["tests/test_packed.py::test_top_tree_polynomials[3"],
+                 id="a parameter prefix only"),
+])
+def test_a_mutant_is_killed_only_when_every_id_fails(ids, passed):
+    assert not_failed(ids, REPORT) == passed
+    assert not_failed(ids, "3 passed in 0.40s\n") == list(ids)

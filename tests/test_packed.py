@@ -23,8 +23,9 @@ from tamari import poly
 from tamari.mtamari import (BallotPath, _mary_children, mary_tamari_poly,
                             path_to_mary_prefix, phi_m_series)
 from tamari.poly import (B, Polynomial, _repack, _root_bound, _slope,
-                         _slot_sum, _slot_width, _to_polynomial, delta,
-                         tamari_poly, tamari_poly_bivar, tamari_poly_mirror)
+                         _slot_sum, _slot_width, _times_slope,
+                         _to_polynomial, delta, tamari_poly,
+                         tamari_poly_bivar, tamari_poly_mirror)
 from tamari.trees import BinaryTree, _postfix, from_dyck
 
 
@@ -250,14 +251,30 @@ def test_repack_moves_every_slot(size, new_size, data):
     assert _to_polynomial([packed], new_width) == sparse(coeffs)
 
 
-slots = st.one_of(st.just(0), st.integers(0, 2 ** 70))
+# slot sizes in bytes around the struct format's one- and many-byte cases;
+# a slot value of FULL or more stands for the full slot, 2^w - 1, at each
+FULL = 2 ** 1000
+SLOT_BYTES = (1, 2, 3, 7, 8, 9, 64, 65, 125)
+slots = st.one_of(st.just(0), st.integers(0, 2 ** 70), st.just(FULL))
+
+
+def full_slots(test):
+    """Examples of full slots between zero slots and zero layers, at every
+    size of SLOT_BYTES."""
+    for size in SLOT_BYTES:
+        test = example([], [[FULL, 0, 0, FULL], [], [0], [0, FULL, 0, 0]],
+                       2, size).via(f"full {size}-byte slots")(test)
+    return test
 
 
 @given(st.lists(st.integers(0, 2 ** 70), max_size=40),
-       st.lists(st.lists(slots, max_size=12), max_size=5), st.integers(0, 3))
-@example([], [[5, 0, 0, 7], [], [0, 0], [0, 3, 0]], 1).via(
+       st.lists(st.lists(slots, max_size=12), max_size=5), st.integers(0, 3),
+       st.sampled_from(SLOT_BYTES))
+@example([], [[5, 0, 0, 7], [], [0, 0], [0, 3, 0]], 1, 9).via(
     "zero layers between non-zero ones, and interior zero slots")
-def test_pack_unpack_and_slope(coeffs, layers, shift):
+@example([], [[], [0, 0], [0]], 0, 1).via("zero layers only")
+@full_slots
+def test_pack_unpack_and_slope(coeffs, layers, shift, size):
     width = _slot_width(sum(coeffs) + 1)
     packed = pack(coeffs, width)
     assert _to_polynomial([packed], width) == sparse(coeffs)
@@ -265,15 +282,27 @@ def test_pack_unpack_and_slope(coeffs, layers, shift):
         sparse(coeffs) * Polynomial.monomial(1, ex=3, ey=1)
     assert _to_polynomial([_slope(packed, width)], width) == \
         delta(sparse(coeffs))
-    # _to_polynomial builds its Polynomial without __init__'s zero filter
+    # _to_polynomial builds its Polynomial without __init__'s zero filter;
+    # the slots are clamped to their width, so full ones are common
+    layer_width, top = 8 * size, 2 ** (8 * size) - 1
+    layers = [[min(c, top) for c in layer] for layer in layers]
     for by_b in (False, True):
-        value = _to_polynomial([pack(layer, 72) for layer in layers], 72,
-                               shift, by_b)
+        value = _to_polynomial([pack(layer, layer_width) for layer in layers],
+                               layer_width, shift, by_b)
         assert value == Polynomial({
             (ex, 0, d) if by_b else (ex, d, 0): c
             for d, layer in enumerate(layers)
             for ex, c in enumerate(layer, shift)})
         assert all(c for _, c in value.terms())
+
+
+@given(st.integers(0, 2 ** 300), st.integers(1, 6), st.integers(0, 2 ** 300),
+       st.integers(1, 20))
+@example(3, 1, 2 ** 16 + 5, 1).via("power 1: the chain is not shifted")
+def test_times_slope_is_the_product_by_the_slope(lower, power, chain, size):
+    width = 8 * size
+    assert _times_slope(lower, power, chain, width) == \
+        lower * _slope(chain << power * width, width)
 
 
 @pytest.mark.parametrize("width", [8, 16, 64, 216])
