@@ -9,8 +9,9 @@ vertex, and the absorbed roots must form a prefix of that list, so a poset
 with m roots contributes m+1 terms.
 
 Enumeration runs this recursion on packed ints and builds posets, each
-the tuple of its rows (:class:`IntervalPoset`), only for its result, one C
-call apiece from the rows it unpacks.  A poset of size n is
+the tuple of its rows (:class:`IntervalPoset`), only for its result,
+in two passes over the sorted keys: one turns each key back into its
+packed rows in place, the next unpacks the rows.  A poset of size n is
 packed at the width W, the smallest of 8, 16, 32 and 64 that holds n: the
 pair (a, b) sits at bit W*W - (a-1)*W - b, so row 1 is on top and each row
 fills a W-bit slot bit-reversed.  Relabelling every vertex up by s moves
@@ -161,20 +162,22 @@ def _top_level(n: int, width: int):
 
 def _decode_sorted(n: int, width: int, parts) -> list[IntervalPoset]:
     """The size-n posets packed at ``width`` in the lists ``parts``, as
-    posets in canonical order: one int sort of their keys, and each key
-    decoded back in place.  Bit-reversing each of R's big-endian bytes
-    turns every row's slot into its successor mask as a little-endian
-    word."""
+    posets in canonical order: one int sort of their keys, one pass that
+    turns each key back into its R in place, and one that turns each R
+    into its poset.  The Rs are freed in the order they were made, so
+    whole memory pools empty for the posets, where keys freed in sorted
+    order would leave every pool in use.  Bit-reversing R's big-endian
+    bytes turns each row's slot into its little-endian successor mask."""
     drop, size = (width - n) * width, n * width // 8
     full, shift = (1 << n * width) - 1, n * width + 1
     keys = [(((full ^ (r := packed >> drop)) & -(low := r & -r)) << shift)
             - low for part in parts for packed in part]
     keys.sort()
-    unpack = Struct(f"<{n}{'BHIQ'[_WIDTHS.index(width)]}").unpack_from
     below = (1 << shift) - 1
     for i, key in enumerate(keys):
-        low = -key & below
-        packed = (full ^ (key + low) >> shift) & -low
+        keys[i] = (full ^ (key + (low := -key & below)) >> shift) & -low
+    unpack = Struct(f"<{n}{'BHIQ'[_WIDTHS.index(width)]}").unpack_from
+    for i, packed in enumerate(keys):
         keys[i] = _poset(unpack(packed.to_bytes(size, "big").translate(_REVERSED)))
     return keys
 

@@ -1,5 +1,5 @@
-"""Mutants of the packed kernels and of the shared path fold, each with the
-tests that must kill it.
+"""Mutants of the packed kernels, the composition and the shared path fold,
+each with the tests that must kill it.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -54,7 +54,9 @@ MUTANTS = {
         "if f is leaf:\n                return f[0] + 1",
         ("tests/test_packed.py::test_top_tree_polynomials[3]",
          "tests/test_poly.py::"
-         "test_tamari_poly_bivar_counts_right_subtree_statistic")),
+         "test_tamari_poly_bivar_counts_right_subtree_statistic",
+         "tests/test_compose.py::"
+         "test_initial_interval_sum_statistic_equals_tamari_poly")),
     "fixed binary node drops its x when the right child is x": Mutant(
         "poly.py",
         "return f[0] + 1, f[1]",
@@ -198,6 +200,37 @@ MUTANTS = {
         ("tests/test_deep_trees.py::"
          "test_decreasing_failure_at_the_lowest_row[8]",
          "tests/test_properties.py::test_validate_matches_sparse_reference")),
+    "sort key drops its tie-break": Mutant(
+        "compose.py",
+        "\n            - low for part in parts",
+        "\n            for part in parts",
+        ("tests/test_compose.py::test_packed_key_orders_like_sorted_relations",
+         "tests/test_compose.py::test_enumeration_text_is_pinned")),
+    "decode keeps the pairs past the end of the list": Mutant(
+        "compose.py",
+        "keys[i] = (full ^ (key + (low := -key & below)) >> shift) & -low",
+        "keys[i] = full ^ (key + (low := -key & below)) >> shift",
+        ("tests/test_compose.py::test_packed_key_orders_like_sorted_relations",
+         "tests/test_compose.py::test_enumeration_text_is_pinned")),
+    "decompose never splits at vertex 1": Mutant(
+        "compose.py",
+        "k = (poset[0] | 1).bit_length()",
+        "k = poset[0].bit_length()",
+        ("tests/test_compose.py::test_decompose_worked_instance",
+         "tests/test_compose.py::test_decompose_matches_sparse_reference")),
+    "compose takes only rows with no successor as roots": Mutant(
+        "compose.py",
+        "if not row & below:",
+        "if not row:",
+        ("tests/test_compose.py::test_compose_worked_instance",
+         "tests/test_compose.py::test_compose_matches_sparse_reference")),
+    "packed roots ignore the carry past column 1": Mutant(
+        "compose.py",
+        "(i2 & lower) + spread | i2",
+        "(i2 & lower) | spread | i2",
+        ("tests/test_compose.py::test_packed_terms_match_compose",
+         "tests/test_compose.py::test_packed_count_matches_the_formula",
+         "tests/test_compose.py::test_enumeration_text_is_pinned")),
 }
 
 

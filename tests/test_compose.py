@@ -12,7 +12,8 @@ from tamari.compose import (_decode_sorted, _posets_of_size, _terms, _width,
 from tamari.intervalposet import (IntervalPoset, inc_forest, lower_tree,
                                   stat_monomial, upper_tree, validate)
 from tamari.poly import (Polynomial, bilinear_B, bilinear_B_bivar,
-                         chapoton_count, parse_polynomial, tamari_poly)
+                         chapoton_count, parse_polynomial, tamari_poly,
+                         tamari_poly_bivar)
 from tamari.order import count_intervals_bruteforce
 from tamari.trees import enumerate_trees, parse_tree
 
@@ -160,11 +161,12 @@ def test_decompose_splits_at_the_upper_root():
 
 
 def test_packed_key_orders_like_sorted_relations():
-    # at both widths the enumeration packs at n <= 16, so this also runs
-    # the 16-bit decode, which the pinned texts (n <= 8) never reach
+    # at every width the enumeration can pick, so this also runs the 16-,
+    # 32- and 64-bit decodes, which the pinned texts (n <= 8) never reach;
+    # n = 0 stays in, where the rows' struct has zero length
     rng = random.Random(7)
-    for width in (8, 16):
-        for n in range(8):
+    for width, sizes in ((8, 8), (16, 8), (32, 7), (64, 7)):
+        for n in range(sizes):
             packed = list(_posets_of_size(n, width))
             expected = sorted(sorted(unpack_relations(r, width))
                               for r in packed)
@@ -285,8 +287,10 @@ def test_initial_interval_sum_matches_oracle():
 
 
 def test_initial_interval_sum_statistic_equals_tamari_poly():
-    for n in range(7):
+    # the tree polynomials through compose, not through the tree fold
+    for n in range(8):
         for t in enumerate_trees(n):
-            total = sum((stat_monomial(p).subs(b=1, y=1)
+            total = sum((stat_monomial(p).subs(y=1)
                          for p in initial_interval_sum(t)), Polynomial())
-            assert total == tamari_poly(t)
+            assert total == tamari_poly_bivar(t), t
+            assert total.subs(b=1) == tamari_poly(t), t
