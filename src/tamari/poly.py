@@ -344,12 +344,13 @@ def text_tamari_poly(text: str, variant: str = "standard") -> Polynomial:
 # _SIZED_FOLD_BITS bits on a binary tree, two fifths of that on the b-refined
 # fold, whose products cost more, and 1.5 times that on a path of slope 2 or
 # more: the sized fold pays a fixed cost per product to narrow it.  On a
-# 2-core x86_64 machine (Python 3.11) the folds break even on random binary
-# trees of 115-121 nodes (226-238 bits), b-refined trees of 47-49 (91-95
-# bits) and random paths of 109-116 nodes whatever the slope: about 305 bits
-# at slope 2, 350 at slope 3, 415 at slope 4.  On random 300-node trees the
-# sized fold takes about 0.75 of the time of one width from the moments.
-_SIZED_FOLD_BITS = 232
+# 2-core x86_64 machine (Python 3.11), in bits of _root_bound, the folds
+# break even at 218-236 bits on random binary trees (224 bits is about 150
+# nodes), 81-90 bits on b-refined trees (about 60 nodes) and, on random
+# paths of 80-150 nodes, about 290 bits at slope 2, 337 at slope 3 and 411
+# at slope 4.  On random 300-node trees the sized fold takes about 0.75 of
+# the time of one width from the moments.
+_SIZED_FOLD_BITS = 224
 
 
 def _chain_poly(code: bytes | list[int], bivar: bool = False,
@@ -386,7 +387,9 @@ def _chain_fold(code: bytes | list[int], bivar: bool = False,
     (above, if mirrored) or the paths below: at most the Fuss-Catalan
     number C((m+1)N, N) / (mN+1) for N nodes of m+1 children.  As
     D(x) = 1 and D(c)(1) <= deg(c) * c(1) <= (N+1) * c(1), it is also at
-    most (N+1)^s, s = mN less the nodes whose last child is a leaf (0, m+1).
+    most (N+1)^s, s = mN less the nodes whose last child is a leaf (0, m+1),
+    and at most the product of deg(c) over the links f * D(c), which
+    :func:`_root_bound` takes on a binary tree when smaller.
     All coefficients are non-negative, so that bound on the root's value
     bounds every coefficient of every chain, and of every partial sum that
     the doubling of :func:`_slope` forms, which adds consecutive
@@ -395,9 +398,9 @@ def _chain_fold(code: bytes | list[int], bivar: bool = False,
     past them, :func:`_sized_fold` narrows each chain's slots.
     """
     nodes, arity = len(code) - code.count(0), max(code)
-    bound = _root_bound(code, nodes, arity, mirror)
-    width = _slot_width(bound)
     limit = _SIZED_FOLD_BITS * (3 if arity > 2 else 2) // (5 if bivar else 2)
+    bound = _root_bound(code, nodes, arity, limit // 2, mirror)
+    width = _slot_width(bound)
     if bound.bit_length() > limit:
         power, packed, width = _sized_fold(code, width, bivar, mirror)[:3]
     else:
@@ -444,20 +447,50 @@ def _combine(link, top, arity: int, mirror: bool):
 
 
 def _root_bound(code: bytes | list[int], nodes: int, arity: int,
-                mirror: bool = False) -> int:
+                screen: int, mirror: bool = False) -> int:
     """min(C(aN, N), (N+1)^s) for :func:`_chain_fold`'s code of N nodes of
-    arity a, the binomial taken only when it can be the smaller: a power
-    below 2^N is below C(aN, N) >= 2^N for a >= 2, and both are 1 for a < 2.
-    A node is bare when its chain ends on a leaf: its last child, or its
-    first if ``mirror``.  A binary tree's N + 1 empty subtrees are each a
-    left or a right child, so mirrored, N + 1 less the bare nodes are bare."""
+    arity a; on a binary code where that has more than ``screen`` bits,
+    min(C(2N, N), P), P <= (N+1)^s its :func:`_degree_product`.
+    _chain_fold screens at half its sized-fold limit: on smaller trees, and
+    on paths of slope 2 or more, the pass cost more than the narrower
+    slots saved.  The binomial is taken only when it can be the
+    smaller: a power below 2^N is below C(aN, N) >= 2^N for a >= 2, and
+    both are 1 for a < 2.  A node is bare when its chain ends on a leaf:
+    its last child, or its first if ``mirror``.  A binary tree's N + 1
+    empty subtrees are each a left or a right child, so mirrored, N + 1
+    less the bare nodes are bare."""
     bare = bytes(code).count(bytes((0, arity))) if 1 < arity < 256 else 0
     if mirror:
         bare = nodes + 1 - bare if arity == 2 else 0
     bound = (nodes + 1) ** ((arity - 1) * nodes - bare)
     if bound.bit_length() > nodes:
         bound = min(bound, comb(arity * nodes, nodes))
+    if arity == 2 and bound.bit_length() > screen:
+        bound = _degree_product(code, mirror, bound)
     return bound
+
+
+def _degree_product(code: bytes | list[int], mirror: bool, cap: int) -> int:
+    """The product, over every link f * D(v) of :func:`_chain_fold`'s fold
+    of a binary code, of deg(v), or ``cap`` once it passes ``cap``: a bound
+    on the root's value at x = b = 1, as every chain v is divisible by x,
+    so D(v)(1) <= deg(v) * v(1).  A subtree's value has degree its size
+    plus 1, so this is the product of v_i + 1 over the bracket vector v of
+    the tree (of its mirror image if ``mirror``), whose trees below have
+    vectors componentwise below v (Huang and Tamari, 1972)."""
+    degrees, product = [], 1
+    push, pop = degrees.append, degrees.pop
+    for k in code:
+        if k:  # top(link(left, right)); mirrored, top(link(right, left))
+            right = pop()
+            left = degrees[-1]
+            product *= left if mirror else right
+            if product > cap:
+                return cap
+            degrees[-1] = left + right
+        else:
+            push(1)
+    return product
 
 
 def _times_slope(lower: int, power: int, chain: int, width: int) -> int:

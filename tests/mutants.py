@@ -117,19 +117,46 @@ MUTANTS = {
         ("tests/test_packed.py::test_pack_unpack_and_slope",)),
     "limit back at 216 bits": Mutant(
         "poly.py",
-        "_SIZED_FOLD_BITS = 232",
+        "_SIZED_FOLD_BITS = 224",
         "_SIZED_FOLD_BITS = 216",
         ("tests/test_packed.py::test_small_trees_skip_the_sized_fold",)),
     "limit raised to 248 bits": Mutant(
         "poly.py",
-        "_SIZED_FOLD_BITS = 232",
+        "_SIZED_FOLD_BITS = 224",
         "_SIZED_FOLD_BITS = 248",
-        ("tests/test_packed.py::test_large_bivar_polynomial[119]",)),
+        ("tests/test_packed.py::test_large_bivar_polynomial[60]",
+         "tests/test_packed.py::test_large_path_polynomial[2-124-True]")),
     "b-refined limit at half the bits": Mutant(
         "poly.py",
         "// (5 if bivar else 2)",
         "// (4 if bivar else 2)",
-        ("tests/test_packed.py::test_large_bivar_polynomial[48]",)),
+        ("tests/test_packed.py::test_large_bivar_polynomial[60]",)),
+    "degree product takes deg(v) + 1": Mutant(
+        "poly.py",
+        "product *= left if mirror else right",
+        "product *= (left if mirror else right) + 1",
+        ("tests/test_packed.py::"
+         "test_root_bound_is_the_count_or_the_degree_product",)),
+    "degree product mirror takes the unswapped child": Mutant(
+        "poly.py",
+        "product *= left if mirror else right",
+        "product *= right",
+        ("tests/test_packed.py::"
+         "test_root_bound_is_the_count_or_the_degree_product",
+         "tests/test_parsed_codes.py::test_mirrored_root_bound")),
+    "degree product links at e + d": Mutant(
+        "poly.py",
+        "degrees[-1] = left + right",
+        "degrees[-1] = left + right + 1",
+        ("tests/test_packed.py::"
+         "test_root_bound_is_the_count_or_the_degree_product",)),
+    "degree product screen inverted": Mutant(
+        "poly.py",
+        "if arity == 2 and bound.bit_length() > screen:",
+        "if arity == 2 and bound.bit_length() <= screen:",
+        ("tests/test_packed.py::"
+         "test_root_bound_is_the_count_or_the_degree_product",
+         "tests/test_packed.py::test_large_bivar_polynomial[119]")),
     "postfix code of a binary node takes its subtrees swapped": Mutant(
         "trees.py",
         "stack += node.left, node.right",

@@ -10,23 +10,24 @@ its narrower slots.
 """
 
 import random
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (fuss_catalan, left_comb, mary_poly_sparse, mirror,
-                     mtamari_interval_count, path_count, random_ballot,
-                     right_comb, tree_poly_sparse)
+from helpers import (bracket_vector, fuss_catalan, left_comb,
+                     mary_poly_sparse, mirror, mtamari_interval_count,
+                     path_count, random_ballot, right_comb, tree_poly_sparse)
 from tamari import poly
-from tamari.mtamari import (BallotPath, _mary_children, mary_tamari_poly,
+from tamari.mtamari import (BallotPath, _mary_children,
+                            enumerate_ballot_paths, mary_tamari_poly,
                             path_to_mary_prefix, phi_m_series)
-from tamari.poly import (B, Polynomial, _repack, _root_bound, _slope,
-                         _slot_sum, _slot_width, _times_slope,
-                         _to_polynomial, delta, tamari_poly,
+from tamari.poly import (B, Polynomial, _degree_product, _repack,
+                         _root_bound, _slope, _slot_sum, _slot_width,
+                         _times_slope, _to_polynomial, delta, tamari_poly,
                          tamari_poly_bivar, tamari_poly_mirror)
-from tamari.trees import BinaryTree, _postfix, from_dyck
+from tamari.trees import BinaryTree, _postfix, enumerate_trees, from_dyck
 
 
 def catalan(n):
@@ -93,23 +94,28 @@ def test_large_tree_polynomials(seed, sized_folds):
     assert sized_folds == [2 * tree.size + 1] * 2
 
 
-@pytest.mark.parametrize("n", [48, 70, 119, 140])
+# the b-refined fold switches at two fifths of the bits, 89: at 48, 58 and
+# 70 nodes (58, 85 and 78 bits) it does not, from 60 (90 bits) on it does;
+# the plain fold switches at none of these (at most 202 bits, at 140)
+BIVAR_SIZED = {48: 0, 58: 0, 60: 1, 70: 0, 119: 1, 140: 1}
+
+
+@pytest.mark.parametrize("n", BIVAR_SIZED)
 def test_large_bivar_polynomial(n, sized_folds):
     tree = from_dyck(random_ballot(random.Random(7), 1, n))
     assert tamari_poly_bivar(tree) == tree_poly_sparse(tree, weight=B)
     assert tamari_poly(tree) == tree_poly_sparse(tree)
-    # the b-refined fold switches at two fifths of the bits, 92: at 48 nodes
-    # (93 bits) and 70 only it does; from 119 nodes (234 bits) on both do
-    assert sized_folds == [2 * n + 1] * (2 if n >= 119 else 1)
+    assert sized_folds == [2 * n + 1] * BIVAR_SIZED[n]
 
 
-# paths' trees switch at 348 bits: 272 and 346 bits below at 100 and 127
-# nodes (m = 2), 288 and 346 at 90 and 108 (m = 3); 349 and 350 bits above
-# at 128 and 109, and 409 and 385 at 150 and 120
-@pytest.mark.parametrize("m, n, sized", [(2, 100, False), (2, 127, False),
-                                         (2, 128, True), (2, 150, True),
-                                         (2, 200, True), (3, 90, False),
-                                         (3, 108, False), (3, 109, True),
+# paths' trees switch at 336 bits: 272 and 335 bits below at 100 and 123
+# nodes (m = 2), 288 and 334 at 90 and 104 (m = 3); 338 and 337 bits above
+# at 124 and 105, 349 and 350 at 128 and 109, and 409 and 385 at 150 and 120
+@pytest.mark.parametrize("m, n, sized", [(2, 100, False), (2, 123, False),
+                                         (2, 124, True), (2, 128, True),
+                                         (2, 150, True), (2, 200, True),
+                                         (3, 90, False), (3, 104, False),
+                                         (3, 105, True), (3, 109, True),
                                          (3, 120, True), (3, 240, True)])
 def test_large_path_polynomial(m, n, sized, sized_folds, monkeypatch):
     path = BallotPath(m, random_ballot(random.Random(2), m, n))
@@ -138,17 +144,18 @@ def test_fixed_and_sized_folds_agree_on_trees(n, sized_folds, monkeypatch):
 
 
 def test_small_trees_skip_the_sized_fold(sized_folds):
-    # up to 232 bits: 118 nodes, or 47 (91 bits, of 92) when b-refined
-    for n in (0, 1, 14, 60, 118):
+    # up to 224 bits: 146 nodes (224 bits), or 63 (87 bits, of 89) when
+    # b-refined
+    for n in (0, 1, 14, 60, 146):
         tree = from_dyck(random_ballot(random.Random(n), 1, n))
         assert tamari_poly(tree) == tree_poly_sparse(tree)
-    for n in (14, 47):
+    for n in (14, 63):
         tree = from_dyck(random_ballot(random.Random(n), 1, n))
         assert tamari_poly_bivar(tree) == tree_poly_sparse(tree, weight=B)
     assert tamari_poly(left_comb(1000)) == Polynomial.monomial(1, ex=1000)
     assert tamari_poly_mirror(right_comb(1000)) == \
         Polynomial.monomial(1, ex=1000)
-    assert tamari_poly(right_comb(118)) == tree_poly_sparse(right_comb(118))
+    assert tamari_poly(right_comb(114)) == tree_poly_sparse(right_comb(114))
     assert sized_folds == []
 
 
@@ -222,23 +229,67 @@ def test_sized_fold_on_paths(sizes, rng, data):
     assert 1 <= value.subs(x=1, y=1).constant() <= fuss_catalan(m, n)
 
 
+def _with_vectors(tree, image=None):
+    """A binary tree's code, with its bracket vector and that of its mirror
+    image, ``image`` if given (a deep comb's, which helpers.mirror would
+    build by recursion)."""
+    image = mirror(tree) if image is None else image
+    return _postfix(tree), (bracket_vector(tree), bracket_vector(image))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
-    st.builds(lambda rng, n: _postfix(from_dyck(random_ballot(rng, 1, n))),
-              st.randoms(use_true_random=False), st.integers(0, 400)),
-    st.builds(lambda n, top: _postfix(right_comb(n) if top else left_comb(n)),
+    st.builds(lambda rng, n: _with_vectors(
+        from_dyck(random_ballot(rng, 1, n))),
+        st.randoms(use_true_random=False), st.integers(0, 400)),
+    st.builds(lambda n, top: _with_vectors(right_comb(n), left_comb(n))
+              if top else _with_vectors(left_comb(n), right_comb(n)),
               st.integers(0, 2000), st.booleans()),
-    st.builds(lambda rng, m, n: _postfix(path_to_mary_prefix(BallotPath(
-        m, random_ballot(rng, m, n))), _mary_children),
+    st.builds(lambda rng, m, n: (_postfix(path_to_mary_prefix(BallotPath(
+        m, random_ballot(rng, m, n))), _mary_children), None),
         st.randoms(use_true_random=False), st.integers(1, 5),
-        st.integers(0, 120))))
-@example([0]).via("the empty tree")
-def test_root_bound_is_the_smaller_of_the_count_and_the_power(code):
+        st.integers(0, 120))), st.booleans(), st.integers(0, 300))
+@example(([0], ([], [])), False, 0).via("the empty tree")
+def test_root_bound_is_the_count_or_the_degree_product(drawn, mirrored,
+                                                       screen):
+    code, vectors = drawn
+    mirrored = mirrored and vectors is not None  # only binary codes mirror
     nodes, arity = len(code) - code.count(0), max(code)
-    bare = bytes(code).count(bytes((0, arity))) if 1 < arity < 256 else 0
-    assert _root_bound(code, nodes, arity) == min(
-        comb(arity * nodes, nodes),
-        (nodes + 1) ** ((arity - 1) * nodes - bare))
+    if vectors or arity == 2:  # a binary tree, or a path of slope 1
+        # each factor is at most N + 1, so this cap never stops the pass
+        product = _degree_product(code, mirrored, (nodes + 1) ** nodes)
+    if vectors:
+        assert product == prod(v + 1 for v in vectors[mirrored])
+    if not mirrored:  # test_mirrored_root_bound relates the mirrored bound
+        bare = bytes(code).count(bytes((0, arity))) if 1 < arity < 256 \
+            else 0
+        count = comb(arity * nodes, nodes)
+        power = (nodes + 1) ** ((arity - 1) * nodes - bare)
+        bound = _root_bound(code, nodes, arity, screen)
+        # the pass runs on binary codes only, and only past ``screen`` bits
+        if arity == 2 and min(count, power).bit_length() > screen:
+            assert product <= power
+            assert bound == min(count, product)
+        else:
+            assert bound == min(count, power)
+
+
+def test_root_bound_bounds_the_value_at_one():
+    # the value at x = y = b = 1 counts the trees or paths below
+    for n in range(9):
+        for tree in enumerate_trees(n):
+            code = _postfix(tree)
+            for mirrored, image in ((False, tree), (True, mirror(tree))):
+                value = tree_poly_sparse(image).subs(x=1).constant()
+                assert _degree_product(code, mirrored, 2 ** 64) >= value
+                assert _root_bound(code, n, max(code), 0, mirrored) >= value
+    for m in range(1, 6):
+        for n in range(5):
+            for path in enumerate_ballot_paths(m, n):
+                tree = path_to_mary_prefix(path)
+                value = mary_poly_sparse(tree).subs(x=1, y=1).constant()
+                code = _postfix(tree, _mary_children)
+                assert _root_bound(code, n, max(code), 0) >= value
 
 
 @given(st.integers(1, 64), st.integers(1, 64), st.data())

@@ -111,14 +111,15 @@ def test_mirror_fold_on_combs(comb, n):
 
 
 @settings(max_examples=200)
-@given(st.integers(0, 120), st.randoms(use_true_random=False))
-@example(n=0, rng=random.Random(0))
-def test_mirrored_root_bound(n, rng):
+@given(st.integers(0, 120), st.randoms(use_true_random=False),
+       st.integers(0, 250))
+@example(n=0, rng=random.Random(0), screen=0)
+def test_mirrored_root_bound(n, rng, screen):
     tree = from_dyck(random_ballot(rng, 1, n))
     code, mirrored = _postfix(tree), _postfix(mirror(tree))
     arity = max(code)
-    assert _root_bound(code, n, arity, mirror=True) == \
-        _root_bound(mirrored, n, arity)
+    assert _root_bound(code, n, arity, screen, mirror=True) == \
+        _root_bound(mirrored, n, arity, screen)
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
 import pytest
 
 from helpers import (chapoton_count_factorial, contact_count, mirror,
-                     phi_series_fixed_point, tree_downsets, tree_upsets)
-from tamari.poly import (ONE, X, Polynomial, bilinear_B, bilinear_B_bivar,
+                     phi_series_fixed_point, tree_downsets, tree_poly_sparse,
+                     tree_upsets)
+from tamari.poly import (ONE, B, X, Polynomial, bilinear_B, bilinear_B_bivar,
                          chapoton_count, delta, parse_polynomial, phi_series,
                          tamari_poly, tamari_poly_bivar, tamari_poly_mirror)
 from tamari.trees import EMPTY, enumerate_trees, left_border_count, parse_tree
@@ -150,7 +151,10 @@ def test_tamari_poly_bivar():
     assert tamari_poly_bivar(parse_tree("[_,_]")) == poly_of("x")
     for n in range(7):
         for t in enumerate_trees(n):
-            assert tamari_poly_bivar(t).subs(b=1) == tamari_poly(t)
+            bivar = tamari_poly_bivar(t)
+            # the sparse fold shares no code with the packed one
+            assert bivar == tree_poly_sparse(t, weight=B)
+            assert bivar.subs(b=1) == tamari_poly(t)
 
 
 def right_subtree_nodes(tree):

@@ -138,6 +138,7 @@ polynomials = st.dictionaries(exponents, st.integers(-9, 9), max_size=8).map(
     Polynomial)
 
 
+@settings(deadline=None)
 @given(polynomials)
 def test_delta_division_witness(g):
     assert (X - ONE) * delta(g) == g - g.subs(x=1)
@@ -258,7 +259,7 @@ def test_make_interval_keeps_its_endpoints(tree, data):
     assert upper_tree(inc_forest(tree)) == tree
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 @given(random_trees(max_size=40), st.data())
 def test_bracket_vectors_agree_with_make_interval(tree, data):
     upper = tree
@@ -274,7 +275,7 @@ def test_bracket_vectors_agree_with_make_interval(tree, data):
 
 # --- packed tree polynomials against the sparse fold ----------------------
 
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 @given(random_trees(max_size=40))
 def test_tree_polynomials_match_sparse_fold(tree):
     assert tamari_poly(tree) == tree_poly_sparse(tree)
@@ -297,7 +298,7 @@ def random_mary_trees(draw, max_size=40):
     return build(draw(st.integers(0, max_size)))
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 @given(random_mary_trees())
 def test_mary_tamari_poly_matches_sparse_fold(tree):
     assert mary_tamari_poly(tree) == mary_poly_sparse(tree)
