@@ -38,7 +38,7 @@ from functools import cache
 from itertools import chain
 from struct import Struct
 
-from .intervalposet import IntervalPoset, _labels, _poset
+from .intervalposet import _EMPTY_POSET, IntervalPoset, _labels, _new
 from .trees import BinaryTree, _fold, _postfix
 
 _WIDTHS = (8, 16, 32, 64)
@@ -60,10 +60,10 @@ def compose(i1: IntervalPoset, i2: IntervalPoset) -> list[IntervalPoset]:
     out, below = [], 0  # below: I2's labels under the row's
     for w, row in enumerate(i2, k1 + 1):
         if not row & below:  # a root: the rows so far are one term
-            out.append(_poset(rows))
+            out.append(_new(IntervalPoset, rows))
         rows[w] |= new
         below = below << 1 | 1
-    out.append(_poset(rows))
+    out.append(_new(IntervalPoset, rows))
     return out
 
 
@@ -74,14 +74,18 @@ def decompose(poset: IntervalPoset) -> tuple[IntervalPoset, IntervalPoset]:
     precedes or is: in compose(I1, I2) all of I1 precedes k1 + 1, and no
     vertex up to k1 + 1 precedes a larger one, so k = k1 + 1 and the root's
     left subtree is exactly 1..k-1.  The parts are the label ranges on both
-    sides of k, the right one shifted down to start at 1.
+    sides of k, the right one shifted down to start at 1.  An empty side
+    is the shared empty poset, not a new one: three in four splits at
+    n = 7 and n = 8 fall at vertex 1 or at vertex n.
     """
-    if len(poset) == 0:
+    if not (n := len(poset)):
         raise ValueError("cannot decompose the empty poset")
     k = (poset[0] | 1).bit_length()
     low = (1 << (k - 1)) - 1
-    return (_poset([row & low for row in poset[:k - 1]]),
-            _poset([row >> k for row in poset[k:]]))
+    return (_new(IntervalPoset, [row & low for row in poset[:k - 1]])
+            if k > 1 else _EMPTY_POSET,
+            _new(IntervalPoset, [row >> k for row in poset[k:]])
+            if k < n else _EMPTY_POSET)
 
 
 def _width(n: int) -> int:
@@ -178,7 +182,8 @@ def _decode_sorted(n: int, width: int, parts) -> list[IntervalPoset]:
         keys[i] = (full ^ (key + (low := -key & below)) >> shift) & -low
     unpack = Struct(f"<{n}{'BHIQ'[_WIDTHS.index(width)]}").unpack_from
     for i, packed in enumerate(keys):
-        keys[i] = _poset(unpack(packed.to_bytes(size, "big").translate(_REVERSED)))
+        keys[i] = _new(IntervalPoset, unpack(
+            packed.to_bytes(size, "big").translate(_REVERSED)))
     return keys
 
 
@@ -205,6 +210,6 @@ def count_interval_posets(n: int) -> int:
 def initial_interval_sum(tree: BinaryTree) -> list[IntervalPoset]:
     """All interval-posets whose increasing part is the increasing forest
     of ``tree``: one poset per tree below it in the Tamari order."""
-    return _fold(_postfix(tree), [_poset(())],
+    return _fold(_postfix(tree), [_EMPTY_POSET],
                  lambda left, right: [p for i1 in left for i2 in right
                                       for p in compose(i1, i2)])

@@ -9,7 +9,9 @@ once in it, the new text, and the test node ids that must fail once the
 old text is replaced.  The script copies ``src``, ``tests``, ``perfbench``,
 the README and ``pyproject.toml`` to a temporary directory, applies one
 mutant at a time to the copy, and runs ``python -m pytest -q`` on its ids
-there, so the checkout and its hypothesis database stay untouched.  A
+there, so the checkout and its hypothesis database stay untouched.  It
+loads the ``mutants`` hypothesis profile of ``conftest.py``, which does not
+shrink a failing example: the kill needs only the failure.  A
 mutant is killed only when every one of its ids fails; otherwise the ids
 that passed are printed.  It prints each mutant as killed or survived and
 exits 1 when any survived or its tests could not run.  ``SURVIVORS``
@@ -33,6 +35,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
 TIMEOUT_S = 600
+PROFILE = "mutants"  # a hypothesis profile of conftest.py
 
 
 class Mutant(NamedTuple):
@@ -245,6 +248,18 @@ MUTANTS = {
         "k = poset[0].bit_length()",
         ("tests/test_compose.py::test_decompose_worked_instance",
          "tests/test_compose.py::test_decompose_matches_sparse_reference")),
+    "decompose takes the left side as empty at k = 2": Mutant(
+        "compose.py",
+        "if k > 1 else _EMPTY_POSET",
+        "if k > 2 else _EMPTY_POSET",
+        ("tests/test_compose.py::test_decompose_compose_roundtrip",
+         "tests/test_compose.py::test_decompose_matches_sparse_reference")),
+    "decompose takes the right side as empty at k = n - 1": Mutant(
+        "compose.py",
+        "if k < n else _EMPTY_POSET",
+        "if k < n - 1 else _EMPTY_POSET",
+        ("tests/test_compose.py::test_decompose_compose_roundtrip",
+         "tests/test_compose.py::test_decompose_matches_sparse_reference")),
     "compose takes only rows with no successor as roots": Mutant(
         "compose.py",
         "if not row & below:",
@@ -305,7 +320,7 @@ def run(mutant: Mutant, copy: Path) -> str:
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             *mutant.tests],
+             f"--hypothesis-profile={PROFILE}", *mutant.tests],
             cwd=copy, env=env, capture_output=True, text=True,
             timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:

@@ -112,10 +112,17 @@ def test_contact_counts_match_the_closed_form():
 
 
 def test_decompose_compose_roundtrip():
-    for n in range(1, 6):
+    # three in four splits leave a side empty, which decompose returns as
+    # a shared poset: equal to IntervalPoset(0) and hashing like it
+    empty = IntervalPoset(0)
+    for n in range(1, 8):
         for poset in enumerate_interval_posets(n):
             i1, i2 = decompose(poset)
             assert poset in compose(i1, i2)
+            for part in (i1, i2):
+                assert type(part) is IntervalPoset
+                if not len(part):
+                    assert part == empty and hash(part) == hash(empty)
 
 
 def test_unique_decomposition():

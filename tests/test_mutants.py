@@ -3,10 +3,11 @@
 Running the catalogue takes minutes, so tier-1 only checks that it cannot
 rot silently: each old text occurs exactly once in its module (the known
 survivors' too), and pytest collects every test id that must kill a
-mutant, so each names an existing file, a test function defined in it
-and, where given, one of its parameter sets.  It also checks, on canned
-pytest reports, that a mutant counts as killed only when each of its ids
-failed.
+mutant under the catalogue's hypothesis profile, so each names an
+existing file, a test function defined in it and, where given, one of its
+parameter sets.  It also checks that the profile does not shrink, and, on
+canned pytest reports, that a mutant counts as killed only when each of
+its ids failed.
 """
 
 import os
@@ -14,8 +15,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import Phase, settings
 
-from mutants import MUTANTS, ROOT, SURVIVORS, not_failed
+from mutants import MUTANTS, PROFILE, ROOT, SURVIVORS, not_failed
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS.keys() | SURVIVORS.keys()))
@@ -31,10 +33,16 @@ def test_every_test_id_is_collected():
                   for node in mutant.tests})
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p",
-         "no:cacheprovider", *ids],
+         "no:cacheprovider", f"--hypothesis-profile={PROFILE}", *ids],
         cwd=ROOT, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_the_catalogue_profile_does_not_shrink():
+    phases = settings.get_profile(PROFILE).phases
+    assert Phase.shrink not in phases
+    assert Phase.generate in phases
 
 
 REPORT = """\
