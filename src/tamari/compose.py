@@ -11,13 +11,14 @@ with m roots contributes m+1 terms.
 Enumeration runs this recursion on packed ints and builds posets, each
 the tuple of its rows (:class:`IntervalPoset`), only for its result,
 in two passes over the sorted keys: one turns each key back into its
-packed rows in place, the next unpacks the rows.  A poset of size n is
-packed at the width W, the smallest of 8, 16, 32 and 64 that holds n: the
-pair (a, b) sits at bit W*W - (a-1)*W - b, so row 1 is on top and each row
-fills a W-bit slot bit-reversed.  Relabelling every vertex up by s moves
-each pair s*(W+1) bits down, so a term of compose(I1, I2) is I1 ORed with
-the column of the new vertex k1+1, ORed with a term of compose(empty, I2)
-shifted right by k1*(W+1).
+packed rows in place, the next unpacks the rows.  Every size is packed at
+one width, W = 16, which bounds the sizes enumerated to 0..16 (there are
+about 1.25e13 interval-posets of size 17): the pair (a, b) sits at bit
+W*W - (a-1)*W - b, so row 1 is on top and each row fills a W-bit slot
+bit-reversed.  Relabelling every vertex up by s moves each pair s*(W+1)
+bits down, so a term of compose(I1, I2) is I1 ORed with the column of the
+new vertex k1+1, ORed with a term of compose(empty, I2) shifted right by
+k1*(W+1).
 
 Read from the top, a packed R lists its pairs in the order of
 sorted(relations), and rows n+1..W are empty, so one int sort gives the
@@ -41,7 +42,7 @@ from struct import Struct
 from .intervalposet import _EMPTY_POSET, IntervalPoset, _labels, _new
 from .trees import BinaryTree, _fold, _postfix
 
-_WIDTHS = (8, 16, 32, 64)
+_W = 16  # the packing width, and the largest size enumerated
 _REVERSED = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
 
@@ -88,33 +89,30 @@ def decompose(poset: IntervalPoset) -> tuple[IntervalPoset, IntervalPoset]:
             if k < n else _EMPTY_POSET)
 
 
-def _width(n: int) -> int:
-    """The packing width of size-n posets: the smallest of 8, 16, 32 and 64
-    that holds n."""
-    for width in _WIDTHS:
-        if n <= width:
-            return width
-    raise ValueError(
-        f"interval-posets are enumerated up to size {_WIDTHS[-1]}")
-
-
-def _column(rows: int, width: int) -> int:
+def _column(rows: int) -> int:
     """The bits of the pairs (a, 1) for a = 1..rows, the top bit of each
     of those rows' slots."""
-    return sum(1 << width * (width - a) - 1 for a in range(rows))
+    return sum(1 << _W * (_W - a) - 1 for a in range(rows))
+
+
+# _bottoms' root test: the pairs (v, b) with 1 < b < v, and every bit of
+# every slot but its top one, column 1
+_LOWER = sum(1 << _W * (_W - v + 1) - b
+             for v in range(3, _W + 1) for b in range(2, v))
+_SPREAD = (1 << _W * _W) - 1 - _column(_W)
 
 
 @cache
-def _prefixes(roots: int, rows: int, width: int) -> tuple[int, ...]:
+def _prefixes(roots: int, rows: int) -> tuple[int, ...]:
     """The vertices that precede the new vertex 1 in each term of
     compose(empty, I2), as column-1 bits one row down: I2's rows above
     each root, and then all of them.  ``roots`` and ``rows`` mark I2's
     roots and all its rows by their column-1 bits."""
-    return tuple(rows >> label << label >> width
+    return tuple(rows >> label << label >> _W
                  for label in (*_labels(roots), 0))
 
 
-def _bottoms(k2: int, width: int) -> list[int]:
+def _bottoms(k2: int) -> list[int]:
     """Every term of compose(empty, I2) over the size-k2 posets I2, packed.
 
     A term is I2 moved one row and one column down, with vertex 1 under a
@@ -122,65 +120,61 @@ def _bottoms(k2: int, width: int) -> list[int]:
     pair (v, b) with b < v: adding 0111..1 to every slot carries into the
     slot's top bit exactly when such a pair sits past column 1.
     """
-    rows = _column(k2, width)
-    lower = sum(1 << width * (width - v + 1) - b
-                for v in range(3, width + 1) for b in range(2, v))
-    spread = (1 << width * width) - 1 - _column(width, width)
-    return [(i2 >> width + 1) | absorbed
-            for i2 in _posets_of_size(k2, width)
+    rows = _column(k2)
+    return [(i2 >> _W + 1) | absorbed
+            for i2 in _posets_of_size(k2)
             for absorbed in _prefixes(
-                rows & ~((i2 & lower) + spread | i2), rows, width)]
+                rows & ~((i2 & _LOWER) + _SPREAD | i2), rows)]
 
 
-def _terms(n: int, k1: int, width: int, tops) -> list[int]:
+def _terms(n: int, k1: int, tops) -> list[int]:
     """The packed terms of compose(I1, I2) for every I1 in ``tops`` (size
     k1) and every I2 of size n-1-k1: I1 under the column of k1+1, ORed
     with a bottom relabelled up by k1."""
-    bottoms = _bottoms(n - 1 - k1, width)
+    bottoms = _bottoms(n - 1 - k1)
     if not k1:  # I1 is empty: the bottoms are the terms, and ORs would copy
         return bottoms
-    column = _column(k1, width) >> k1
-    shift = k1 * (width + 1)
+    column = _column(k1) >> k1
+    shift = k1 * (_W + 1)
     bottoms = [bottom >> shift for bottom in bottoms]
     return [top | bottom for top in [i1 | column for i1 in tops]
             for bottom in bottoms]
 
 
 @cache
-def _posets_of_size(n: int, width: int) -> tuple[int, ...]:
-    """Every interval-poset of size n packed at ``width``, in composition
-    order."""
-    if n == 0:
-        return (0,)
-    return tuple(chain.from_iterable(
-        _terms(n, k1, width, _posets_of_size(k1, width)) for k1 in range(n)))
+def _posets_of_size(n: int) -> tuple[int, ...]:
+    """Every interval-poset of size n, packed, in composition order."""
+    return tuple(chain.from_iterable(_top_level(n)))
 
 
-def _top_level(n: int, width: int):
+def _top_level(n: int):
     """The packed size-n posets in one list per k1, none of them cached."""
+    if n < 0:
+        raise ValueError("size must be non-negative")
+    if n > _W:
+        raise ValueError(f"interval-posets are enumerated up to size {_W}")
     if n == 0:
-        return [_posets_of_size(0, width)]
-    return (_terms(n, k1, width, _posets_of_size(k1, width))
-            for k1 in range(n))
+        return [(0,)]
+    return (_terms(n, k1, _posets_of_size(k1)) for k1 in range(n))
 
 
-def _decode_sorted(n: int, width: int, parts) -> list[IntervalPoset]:
-    """The size-n posets packed at ``width`` in the lists ``parts``, as
-    posets in canonical order: one int sort of their keys, one pass that
-    turns each key back into its R in place, and one that turns each R
-    into its poset.  The Rs are freed in the order they were made, so
-    whole memory pools empty for the posets, where keys freed in sorted
-    order would leave every pool in use.  Bit-reversing R's big-endian
-    bytes turns each row's slot into its little-endian successor mask."""
-    drop, size = (width - n) * width, n * width // 8
-    full, shift = (1 << n * width) - 1, n * width + 1
+def _decode_sorted(n: int, parts) -> list[IntervalPoset]:
+    """The size-n posets packed in the lists ``parts``, as posets in
+    canonical order: one int sort of their keys, one pass that turns each
+    key back into its R in place, and one that turns each R into its
+    poset.  The Rs are freed in the order they were made, so whole memory
+    pools empty for the posets, where keys freed in sorted order would
+    leave every pool in use.  Bit-reversing R's big-endian bytes turns
+    each row's slot into its little-endian successor mask."""
+    drop, size = (_W - n) * _W, n * _W // 8
+    full, shift = (1 << n * _W) - 1, n * _W + 1
     keys = [(((full ^ (r := packed >> drop)) & -(low := r & -r)) << shift)
             - low for part in parts for packed in part]
     keys.sort()
     below = (1 << shift) - 1
     for i, key in enumerate(keys):
         keys[i] = (full ^ (key + (low := -key & below)) >> shift) & -low
-    unpack = Struct(f"<{n}{'BHIQ'[_WIDTHS.index(width)]}").unpack_from
+    unpack = Struct(f"<{n}H").unpack_from
     for i, packed in enumerate(keys):
         keys[i] = _new(IntervalPoset, unpack(
             packed.to_bytes(size, "big").translate(_REVERSED)))
@@ -189,11 +183,9 @@ def _decode_sorted(n: int, width: int, parts) -> list[IntervalPoset]:
 
 def enumerate_interval_posets(n: int) -> list[IntervalPoset]:
     """All interval-posets of size n, generated through the composition
-    recursion (each appears exactly once), in canonical order."""
-    if n < 0:
-        raise ValueError("size must be non-negative")
-    width = _width(n)
-    return _decode_sorted(n, width, _top_level(n, width))
+    recursion (each appears exactly once), in canonical order, for sizes
+    up to 16."""
+    return _decode_sorted(n, _top_level(n))
 
 
 @cache
@@ -201,10 +193,8 @@ def count_interval_posets(n: int) -> int:
     """The number of interval-posets of size n, by generating each one
     through the composition recursion, packed: no object is built, and
     the terms of each k1 are dropped once counted.  Only the count is
-    kept, so asking again costs nothing."""
-    if n < 0:
-        raise ValueError("size must be non-negative")
-    return sum(map(len, _top_level(n, _width(n))))
+    kept, so asking again costs nothing.  Sizes go up to 16."""
+    return sum(map(len, _top_level(n)))
 
 
 def initial_interval_sum(tree: BinaryTree) -> list[IntervalPoset]:

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from math import comb
 from operator import attrgetter
 
-from .poly import (Polynomial, _chain_fold, _series_layers, _slot_sum,
-                   _slot_width, _times_slope, _to_polynomial)
+from .poly import (Polynomial, _chain_fold, _fuss_catalan, _series_layers,
+                   _slot_sum, _slot_width, _times_slope, _to_polynomial)
 from .trees import _fold, _postfix
 
 
@@ -219,7 +218,8 @@ def path_counts(m: int, n: int) -> dict[str, int]:
     into x * D(c), or leaves it when c = x, and D(c)(1) >= c(1), as c is
     divisible by x, so the chain's value at x = 1 is at most that tree's,
     which counts the paths below a path of size s+1: at most the
-    Fuss-Catalan count C((m+1)n, n) / (mn+1).  The coefficients are
+    Fuss-Catalan count C((m+1)n, n) / (mn+1) (see
+    :func:`tamari.poly._fuss_catalan`).  The coefficients are
     non-negative, so that bound covers every coefficient of every chain and
     every partial sum that :func:`tamari.poly._slope` forms, and one width
     holds every chain.  Each count, a root chain's value at x = 1, is below
@@ -227,7 +227,7 @@ def path_counts(m: int, n: int) -> dict[str, int]:
     remainder."""
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
-    width = _slot_width(comb((m + 1) * n, n) // (m * n + 1))
+    width = _slot_width(_fuss_catalan(m + 1, n))
 
     def link(t, r):  # t * D(r), each (power, packed, reading); D(x) = 1
         lower = t[1]

@@ -347,9 +347,10 @@ def text_tamari_poly(text: str, variant: str = "standard") -> Polynomial:
 # 2-core x86_64 machine (Python 3.11), in bits of _root_bound, the folds
 # break even at 218-236 bits on random binary trees (224 bits is about 150
 # nodes), 81-90 bits on b-refined trees (about 60 nodes) and, on random
-# paths of 80-150 nodes, about 290 bits at slope 2, 337 at slope 3 and 411
-# at slope 4.  On random 300-node trees the sized fold takes about 0.75 of
-# the time of one width from the moments.
+# paths of 80-150 nodes, at about 290 bits of C(aN, N) at slope 2, 337 at
+# slope 3 and 411 at slope 4 (the Fuss-Catalan bound is 7-9 bits less).
+# On random 300-node trees the sized fold takes about 0.75 of the time of
+# one width from the moments.
 _SIZED_FOLD_BITS = 224
 
 
@@ -446,25 +447,32 @@ def _combine(link, top, arity: int, mirror: bool):
     return node
 
 
+def _fuss_catalan(arity: int, nodes: int) -> int:
+    """C(aN, N) / ((a-1)N + 1), the number of trees of N nodes of arity a,
+    and of the ballot paths of size N and slope a - 1."""
+    return comb(arity * nodes, nodes) // ((arity - 1) * nodes + 1)
+
+
 def _root_bound(code: bytes | list[int], nodes: int, arity: int,
                 screen: int, mirror: bool = False) -> int:
-    """min(C(aN, N), (N+1)^s) for :func:`_chain_fold`'s code of N nodes of
-    arity a; on a binary code where that has more than ``screen`` bits,
-    min(C(2N, N), P), P <= (N+1)^s its :func:`_degree_product`.
-    _chain_fold screens at half its sized-fold limit: on smaller trees, and
-    on paths of slope 2 or more, the pass cost more than the narrower
-    slots saved.  The binomial is taken only when it can be the
-    smaller: a power below 2^N is below C(aN, N) >= 2^N for a >= 2, and
-    both are 1 for a < 2.  A node is bare when its chain ends on a leaf:
-    its last child, or its first if ``mirror``.  A binary tree's N + 1
-    empty subtrees are each a left or a right child, so mirrored, N + 1
-    less the bare nodes are bare."""
+    """min(F, (N+1)^s) for :func:`_chain_fold`'s code of N nodes of arity
+    a, F its :func:`_fuss_catalan` count; on a binary code where that has
+    more than ``screen`` bits, min(F, P), P <= (N+1)^s its
+    :func:`_degree_product`.  _chain_fold screens at half its sized-fold
+    limit: on smaller trees, and on paths of slope 2 or more, the pass
+    cost more than the narrower slots saved.  The count is taken only when
+    it can be the smaller: a power below 2^(N-1) is below F, which is at
+    least Catalan(N) >= 2^(N-1) for a >= 2, and both are 1 for a < 2.  A
+    node is bare when its chain ends on a leaf: its last child, or its
+    first if ``mirror``.  A binary tree's N + 1 empty subtrees are each a
+    left or a right child, so mirrored, N + 1 less the bare nodes are
+    bare."""
     bare = bytes(code).count(bytes((0, arity))) if 1 < arity < 256 else 0
     if mirror:
         bare = nodes + 1 - bare if arity == 2 else 0
     bound = (nodes + 1) ** ((arity - 1) * nodes - bare)
-    if bound.bit_length() > nodes:
-        bound = min(bound, comb(arity * nodes, nodes))
+    if bound.bit_length() >= nodes:
+        bound = min(bound, _fuss_catalan(arity, nodes))
     if arity == 2 and bound.bit_length() > screen:
         bound = _degree_product(code, mirror, bound)
     return bound

@@ -128,12 +128,21 @@ MUTANTS = {
         "_SIZED_FOLD_BITS = 224",
         "_SIZED_FOLD_BITS = 248",
         ("tests/test_packed.py::test_large_bivar_polynomial[60]",
-         "tests/test_packed.py::test_large_path_polynomial[2-124-True]")),
+         "tests/test_packed.py::test_large_path_polynomial[2-127-True]")),
     "b-refined limit at half the bits": Mutant(
         "poly.py",
         "// (5 if bivar else 2)",
         "// (4 if bivar else 2)",
         ("tests/test_packed.py::test_large_bivar_polynomial[60]",)),
+    "Fuss-Catalan count divided by one more": Mutant(
+        "poly.py",
+        "// ((arity - 1) * nodes + 1)",
+        "// ((arity - 1) * nodes + 2)",
+        ("tests/test_packed.py::"
+         "test_root_bound_is_the_count_or_the_degree_product",
+         "tests/test_packed.py::test_root_bound_bounds_the_value_at_one",
+         "tests/test_mtamari.py::"
+         "test_shared_fold_reaches_its_width_at_the_top")),
     "degree product takes deg(v) + 1": Mutant(
         "poly.py",
         "product *= left if mirror else right",
@@ -268,8 +277,8 @@ MUTANTS = {
          "tests/test_compose.py::test_compose_matches_sparse_reference")),
     "packed roots ignore the carry past column 1": Mutant(
         "compose.py",
-        "(i2 & lower) + spread | i2",
-        "(i2 & lower) | spread | i2",
+        "(i2 & _LOWER) + _SPREAD | i2",
+        "(i2 & _LOWER) | _SPREAD | i2",
         ("tests/test_compose.py::test_packed_terms_match_compose",
          "tests/test_compose.py::test_packed_count_matches_the_formula",
          "tests/test_compose.py::test_enumeration_text_is_pinned")),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,20 @@ def test_count_capacity(capsys):
     code, out, err = run(capsys, "count", "4", "--max-n", "12",
                          "--method", "formula")
     assert code == 0 and out.strip() == "68"
+
+
+def test_count_enumerate_past_the_packing_width(capsys):
+    # --max-n lifts the CLI's cap, but the library enumerates only up to
+    # size 16, so n = 17 ends at once with its message, not in a run of
+    # about 1.25e13 posets
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "17", "--method", "enumerate",
+                         "--max-n", "17")
+    assert (code, out) == (2, "")
+    assert err.startswith("warning: raising capacity cap to 17")
+    assert err.endswith(
+        "\nerror: interval-posets are enumerated up to size 16\n")
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("options", [

@@ -6,8 +6,8 @@ import pytest
 
 from helpers import (compose_sparse, contact_count, decompose_sparse,
                      pack_poset, tree_upsets, unpack_relations)
-from tamari.compose import (_decode_sorted, _posets_of_size, _terms, _width,
-                            compose, count_interval_posets, decompose,
+from tamari.compose import (_decode_sorted, _posets_of_size, _terms, compose,
+                            count_interval_posets, decompose,
                             enumerate_interval_posets, initial_interval_sum)
 from tamari.intervalposet import (IntervalPoset, inc_forest, lower_tree,
                                   stat_monomial, upper_tree, validate)
@@ -168,44 +168,43 @@ def test_decompose_splits_at_the_upper_root():
 
 
 def test_packed_key_orders_like_sorted_relations():
-    # at every width the enumeration can pick, so this also runs the 16-,
-    # 32- and 64-bit decodes, which the pinned texts (n <= 8) never reach;
-    # n = 0 stays in, where the rows' struct has zero length
+    # n = 0 stays in, where the rows' struct has zero length; every poset
+    # up to n = 7, and a shuffled sample of n = 8's 118,668
     rng = random.Random(7)
-    for width, sizes in ((8, 8), (16, 8), (32, 7), (64, 7)):
-        for n in range(sizes):
-            packed = list(_posets_of_size(n, width))
-            expected = sorted(sorted(unpack_relations(r, width))
-                              for r in packed)
-            rng.shuffle(packed)
-            ordered = _decode_sorted(n, width, [packed])
-            assert [sorted(p.relations) for p in ordered] == expected
-            assert all(p.n == n for p in ordered)
-            assert not ordered[0].relations
+    for n in range(9):
+        everything = _posets_of_size(n)
+        packed = rng.sample(everything, min(len(everything), 25_000))
+        expected = sorted(sorted(unpack_relations(r, 16)) for r in packed)
+        ordered = _decode_sorted(n, [packed])
+        assert [sorted(p.relations) for p in ordered] == expected
+        assert all(p.n == n for p in ordered)
+        assert (not ordered[0].relations) == (0 in packed)
 
 
-def test_packing_width():
-    assert [_width(n) for n in (0, 1, 8, 9, 16, 17, 32, 33, 64)] == \
-        [8, 8, 8, 16, 16, 32, 32, 64, 64]
-    with pytest.raises(ValueError):
-        _width(65)
+def test_sizes_past_the_packing_width_are_refused():
+    # a size past 16 would start a run that cannot finish (about 1.25e13
+    # posets at n = 17), so it is refused before any work
+    for entry in (enumerate_interval_posets, count_interval_posets):
+        for n in (17, 65):
+            with pytest.raises(ValueError, match="up to size 16"):
+                entry(n)
+        with pytest.raises(ValueError, match="^size must be non-negative$"):
+            entry(-1)
 
 
 def test_packed_terms_match_compose():
     # compose() on objects is the reference for the packed kernel: given
-    # the smaller sizes, each split's terms are those of compose(), at the
-    # width of the size and at the next one
-    for width in (8, 16):
-        def level(k):
-            return [IntervalPoset(k, unpack_relations(r, width))
-                    for r in _posets_of_size(k, width)]
-        for n in range(1, 7):
-            for k1 in range(n):
-                packed = _terms(n, k1, width, _posets_of_size(k1, width))
-                expected = [pack_poset(t.relations, width)
-                            for i1 in level(k1) for i2 in level(n - 1 - k1)
-                            for t in compose(i1, i2)]
-                assert sorted(packed) == sorted(expected), (n, width, k1)
+    # the smaller sizes, each split's terms are those of compose()
+    def level(k):
+        return [IntervalPoset(k, unpack_relations(r, 16))
+                for r in _posets_of_size(k)]
+    for n in range(1, 8):
+        for k1 in range(n):
+            packed = _terms(n, k1, _posets_of_size(k1))
+            expected = [pack_poset(t.relations, 16)
+                        for i1 in level(k1) for i2 in level(n - 1 - k1)
+                        for t in compose(i1, i2)]
+            assert sorted(packed) == sorted(expected), (n, k1)
 
 
 def test_packed_count_matches_the_formula():

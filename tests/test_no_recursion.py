@@ -27,8 +27,10 @@ ALLOWED = {
         "depth n, at most max_n (PERM_CAP unless raised)",
     ("trees._trees_of_size",):
         "depth n; the trees are enumerated only up to the CLI caps",
-    ("compose._bottoms", "compose._posets_of_size", "compose._terms"):
-        "depth n; interval-posets are enumerated only up to ENUMERATION_CAP",
+    ("compose._bottoms", "compose._posets_of_size", "compose._terms",
+     "compose._top_level"):
+        "depth n; interval-posets are enumerated only up to size 16, the "
+        "packing width",
     ("mtamari.path_upset",):
         "depth of a rotation chain, bounded by the paths of one size",
 }

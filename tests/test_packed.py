@@ -108,14 +108,16 @@ def test_large_bivar_polynomial(n, sized_folds):
     assert sized_folds == [2 * n + 1] * BIVAR_SIZED[n]
 
 
-# paths' trees switch at 336 bits: 272 and 335 bits below at 100 and 123
-# nodes (m = 2), 288 and 334 at 90 and 104 (m = 3); 338 and 337 bits above
-# at 124 and 105, 349 and 350 at 128 and 109, and 409 and 385 at 150 and 120
+# paths' trees switch at 336 bits: 264, 327 and 335 bits below at 100, 123
+# and 126 nodes (m = 2), 280, 325 and 335 at 90, 104 and 107 (m = 3); 338
+# bits above at 127 and 108, 341 at 128 and 109, and 401 and 377 at 150
+# and 120
 @pytest.mark.parametrize("m, n, sized", [(2, 100, False), (2, 123, False),
-                                         (2, 124, True), (2, 128, True),
-                                         (2, 150, True), (2, 200, True),
-                                         (3, 90, False), (3, 104, False),
-                                         (3, 105, True), (3, 109, True),
+                                         (2, 126, False), (2, 127, True),
+                                         (2, 128, True), (2, 150, True),
+                                         (2, 200, True), (3, 90, False),
+                                         (3, 104, False), (3, 107, False),
+                                         (3, 108, True), (3, 109, True),
                                          (3, 120, True), (3, 240, True)])
 def test_large_path_polynomial(m, n, sized, sized_folds, monkeypatch):
     path = BallotPath(m, random_ballot(random.Random(2), m, n))
@@ -263,7 +265,7 @@ def test_root_bound_is_the_count_or_the_degree_product(drawn, mirrored,
     if not mirrored:  # test_mirrored_root_bound relates the mirrored bound
         bare = bytes(code).count(bytes((0, arity))) if 1 < arity < 256 \
             else 0
-        count = comb(arity * nodes, nodes)
+        count = comb(arity * nodes, nodes) // ((arity - 1) * nodes + 1)
         power = (nodes + 1) ** ((arity - 1) * nodes - bare)
         bound = _root_bound(code, nodes, arity, screen)
         # the pass runs on binary codes only, and only past ``screen`` bits
