@@ -41,24 +41,16 @@ def _emit(args, lines: list[str], payload: dict) -> None:
         print("\n".join(lines))
 
 
-def _effective_cap(args, default: int) -> int:
-    """The cap in force for a route capped at ``default``; only the first
-    route that --max-n raises warns, so a command warns at most once."""
-    if args.max_n is None or args.max_n <= default:
-        return default
-    if not args.warned:
-        print(f"warning: raising capacity cap to {args.max_n}; "
-              "brute-force routes are exponential", file=sys.stderr)
-        args.warned = True
-    return args.max_n
-
-
 def _gate(args, n: int, default: int, what: str, name: str = "n") -> int:
-    """The cap in force for ``what``; raises when n, the parameter
-    ``name``, exceeds it."""
-    cap = _effective_cap(args, default)
+    """The cap in force for ``what``: ``default``, or --max-n when that is
+    higher.  Raises when n, the parameter ``name``, exceeds it.  Only the
+    first cap that --max-n raises warns, so a command warns at most once."""
+    cap = default if args.max_n is None else max(default, args.max_n)
+    if cap > default and not args.warned:
+        print(f"warning: raising capacity cap to {cap}", file=sys.stderr)
+        args.warned = True
     if n > cap:
-        raise CommandError(f"{what} capped at {name}={default} "
+        raise CommandError(f"{what} capped at {name}={cap} "
                            "(override with --max-n)")
     return cap
 
@@ -150,8 +142,8 @@ def cmd_interval(args) -> int:
         lines.extend(text.splitlines())
         payload["poset"] = text
     if show_trees:
-        literals = intervalposet.interval_literals(
-            poset, max_n=_effective_cap(args, order.TREE_ORACLE_CAP))
+        cap = _gate(args, poset.n, order.TREE_ORACLE_CAP, "trees are")
+        literals = intervalposet.interval_literals(poset, max_n=cap)
         lines.extend(literals)
         payload["trees"] = literals
     if show_extensions:
@@ -396,7 +388,7 @@ def _parse_command_line(argv: list[str]) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse_command_line(sys.argv[1:] if argv is None else argv)
-    args.warned = False  # _effective_cap warns once per invocation
+    args.warned = False  # _gate warns once per invocation
     try:
         return args.func(args)
     except CommandError as exc:

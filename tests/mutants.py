@@ -1,5 +1,6 @@
-"""Mutants of the packed kernels, the composition and the shared path fold,
-each with the tests that must kill it.
+"""Mutants of the packed kernels, the composition, the shared path fold and
+the command line's capacity gate and parser, each with the tests that must
+kill it.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -8,17 +9,20 @@ Each entry names a module of ``src/tamari``, an exact old text that occurs
 once in it, the new text, and the test node ids that must fail once the
 old text is replaced.  The script copies ``src``, ``tests``, ``perfbench``,
 the README and ``pyproject.toml`` to a temporary directory, applies one
-mutant at a time to the copy, and runs ``python -m pytest -q`` on its ids
-there, so the checkout and its hypothesis database stay untouched.  It
-loads the ``mutants`` hypothesis profile of ``conftest.py``, which does not
-shrink a failing example: the kill needs only the failure.  A
-mutant is killed only when every one of its ids fails; otherwise the ids
-that passed are printed.  It prints each mutant as killed or survived and
-exits 1 when any survived or its tests could not run.  ``SURVIVORS``
-lists the known survivors, each with the reason that no test can kill
-it; they are not run.  pytest does not collect this file;
-``test_mutants.py`` checks that every old text still occurs exactly once,
-that pytest collects every test id, and how a report is read.
+mutant at a time to the copy, and runs ``python -m pytest -q
+--assert=plain`` on its ids there, so the checkout and its hypothesis
+database stay untouched.  ``--assert=plain`` skips pytest's assertion
+rewriting, which each run would redo for every test module because no
+bytecode is cached; a failing ``assert`` still fails, so no verdict
+depends on it.  It loads the ``mutants`` hypothesis profile of
+``conftest.py``, which does not shrink a failing example: the kill needs
+only the failure.  A mutant is killed only when every one of its ids
+fails; otherwise the ids that passed are printed.  It prints each mutant
+as killed or survived and exits 1 when any survived or its tests could
+not run.  ``SURVIVORS`` lists the known survivors, each with the reason
+that no test can kill it; they are not run.  pytest does not collect this
+file; ``test_mutants.py`` checks that every old text still occurs exactly
+once, that pytest collects every test id, and how a report is read.
 """
 
 from __future__ import annotations
@@ -282,6 +286,27 @@ MUTANTS = {
         ("tests/test_compose.py::test_packed_terms_match_compose",
          "tests/test_compose.py::test_packed_count_matches_the_formula",
          "tests/test_compose.py::test_enumeration_text_is_pinned")),
+    "capacity gate refuses a size equal to its cap": Mutant(
+        "cli.py",
+        "if n > cap:",
+        "if n >= cap:",
+        ("tests/test_cli.py::test_slope_cap",
+         "tests/test_cli.py::test_ballot_commands_at_large_m",
+         "tests/test_golden_cli.py::test_cli_transcript_matches_golden"
+         "[lattice 8 --json]")),
+    "capacity error names the default cap, not the one in force": Mutant(
+        "cli.py",
+        "capped at {name}={cap} ",
+        "capped at {name}={default} ",
+        ("tests/test_cli.py::"
+         "test_a_raised_cap_still_exceeded_names_the_raised_cap",)),
+    "exact parse takes a value outside the option's choices": Mutant(
+        "cli.py",
+        "if action.choices is not None and value not in action.choices:",
+        "if False:",
+        ("tests/test_golden_cli.py::"
+         "test_one_parse_matches_the_top_level_parse[count 4 --method bogus]",
+         )),
 }
 
 
@@ -308,12 +333,15 @@ SURVIVORS = {
 def not_failed(ids: tuple[str, ...], report: str) -> list[str]:
     """The test ids of ``ids`` that no FAILED or ERROR line of a pytest
     report names: an id names a test, or a test function whose every
-    parameter set it stands for, and it failed when any of them did."""
-    failed = [line.split()[1] for line in report.splitlines()
+    parameter set it stands for, and it failed when any of them did.  A
+    parameter id may hold spaces, so a line names an id when it holds the
+    id alone, the id then " - " and a message, or the id then a parameter
+    set."""
+    failed = [line.split(" ", 1)[1] for line in report.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]
     return [i for i in ids
-            if not any(node == i or node.startswith(i + "[")
-                       for node in failed)]
+            if not any(line == i or line.startswith((i + " - ", i + "["))
+                       for line in failed)]
 
 
 def run(mutant: Mutant, copy: Path) -> str:
@@ -328,8 +356,9 @@ def run(mutant: Mutant, copy: Path) -> str:
                PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"--hypothesis-profile={PROFILE}", *mutant.tests],
+            [sys.executable, "-m", "pytest", "-q", "--assert=plain", "-p",
+             "no:cacheprovider", f"--hypothesis-profile={PROFILE}",
+             *mutant.tests],
             cwd=copy, env=env, capture_output=True, text=True,
             timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:

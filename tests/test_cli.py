@@ -51,11 +51,23 @@ def test_count_all_methods_json(capsys):
 def test_count_capacity(capsys):
     code, _, err = run(capsys, "count", "9", "--method", "bruteforce")
     assert code == 2 and "capped" in err
-    # --max-n raises the cap (slow path stays off: use enumerate at 9? too slow;
-    # instead check the warning plumbing on a small raised cap)
     code, out, err = run(capsys, "count", "4", "--max-n", "12",
                          "--method", "formula")
-    assert code == 0 and out.strip() == "68"
+    assert (code, out, err) == (0, "68\n", "")  # the formula has no cap
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("count", "12", "--method", "bruteforce", "--max-n", "10"),
+     "bruteforce is capped at n=10"),
+    (("phi", "1", "--m", "8", "--max-n", "7"), "slopes are capped at m=7"),
+], ids=["n", "m"])
+def test_a_raised_cap_still_exceeded_names_the_raised_cap(capsys, argv,
+                                                          message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"warning: raising capacity cap to {argv[-1]}",
+        f"error: {message} (override with --max-n)"]
 
 
 def test_count_enumerate_past_the_packing_width(capsys):
@@ -171,8 +183,14 @@ def test_interval_warns_once_for_two_capped_sections(capsys):
     code, out, err = run(capsys, "interval", "[_,_]", "[_,_]", "--trees",
                          "--extensions", "--max-n", "9")
     assert code == 0 and out.splitlines()[0] == "[_,_]"
-    assert err.splitlines() == ["warning: raising capacity cap to 9; "
-                                "brute-force routes are exponential"]
+    assert err.splitlines() == ["warning: raising capacity cap to 9"]
+
+
+def test_interval_trees_capacity(capsys):
+    comb9 = "[" * 9 + "_" + ",_]" * 9
+    code, out, err = run(capsys, "interval", comb9, comb9, "--trees")
+    assert (code, out) == (2, "")
+    assert err == "error: trees are capped at n=8 (override with --max-n)\n"
 
 
 def test_count_all_methods_warns_once(capsys):
@@ -180,8 +198,7 @@ def test_count_all_methods_warns_once(capsys):
         code, out, err = run(capsys, "count", "4", "--all-methods",
                              "--max-n", "12")
         assert code == 0 and out.splitlines()[-1] == "MATCH"
-        assert err.splitlines() == ["warning: raising capacity cap to 12; "
-                                    "brute-force routes are exponential"]
+        assert err.splitlines() == ["warning: raising capacity cap to 12"]
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])

@@ -32,8 +32,9 @@ def test_every_test_id_is_collected():
     ids = sorted({node for mutant in MUTANTS.values()
                   for node in mutant.tests})
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p",
-         "no:cacheprovider", f"--hypothesis-profile={PROFILE}", *ids],
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "--assert=plain", "-p", "no:cacheprovider",
+         f"--hypothesis-profile={PROFILE}", *ids],
         cwd=ROOT, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
@@ -54,7 +55,8 @@ E       assert Polynomial(x^3) == Polynomial(x + x^2)
 FAILED tests/test_packed.py::test_top_tree_polynomials[3] - assert Polynomi...
 FAILED tests/test_poly.py::test_phi_series[12] - AssertionError
 ERROR tests/test_deep_trees.py::test_comb - RecursionError: maximum recursi...
-2 failed, 1 passed, 1 error in 0.61s
+FAILED tests/test_golden_cli.py::test_golden[lattice 8 --json]
+3 failed, 1 passed, 1 error in 0.61s
 """
 
 
@@ -74,6 +76,15 @@ ERROR tests/test_deep_trees.py::test_comb - RecursionError: maximum recursi...
     pytest.param(("tests/test_packed.py::test_top_tree_polynomials[3",),
                  ["tests/test_packed.py::test_top_tree_polynomials[3"],
                  id="a parameter prefix only"),
+    # a parameter id with spaces, on a line with no message
+    pytest.param(("tests/test_golden_cli.py::test_golden[lattice 8 --json]",
+                  "tests/test_golden_cli.py::test_golden"), [],
+                 id="a parameter id with spaces"),
+    pytest.param(("tests/test_golden_cli.py::test_golden[lattice 8",
+                  "tests/test_golden_cli.py::test_golden[lattice 8 --js"),
+                 ["tests/test_golden_cli.py::test_golden[lattice 8",
+                  "tests/test_golden_cli.py::test_golden[lattice 8 --js"],
+                 id="a prefix of a parameter id with spaces"),
 ])
 def test_a_mutant_is_killed_only_when_every_id_fails(ids, passed):
     assert not_failed(ids, REPORT) == passed

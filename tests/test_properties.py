@@ -5,7 +5,7 @@ from collections import defaultdict
 from operator import le
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (bracket_vector, compose_sparse, mary_poly_sparse, mirror,
@@ -110,6 +110,11 @@ def _outcome(check, n, pairs):
 
 @settings(max_examples=500)
 @given(raw_relation_sets())
+# cases random pairs seldom draw: a valid decreasing chain, which the
+# decreasing check must pass by comparing row 3 with row 2, not row 1; and
+# an increasing failure in row 2 that is carried down to row 1, the lowest
+@example((3, [(3, 2), (3, 1), (2, 1)]))
+@example((4, [(1, 4), (2, 4)]))
 def test_validate_matches_sparse_reference(case):
     n, pairs = case
     outcome = _outcome(validate, n, pairs)
