@@ -27,12 +27,6 @@ SERIES_CAP = 30
 SLOPE_CAP = 5
 
 
-class CommandError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
-
-
 def _emit(args, lines: list[str], payload: dict) -> None:
     if args.json:
         payload["command"] = args.command
@@ -50,8 +44,8 @@ def _gate(args, n: int, default: int, what: str, name: str = "n") -> int:
         print(f"warning: raising capacity cap to {cap}", file=sys.stderr)
         args.warned = True
     if n > cap:
-        raise CommandError(f"{what} capped at {name}={cap} "
-                           "(override with --max-n)")
+        raise order.CapacityError(f"{what} capped at {name}={cap} "
+                                  "(override with --max-n)")
     return cap
 
 
@@ -60,7 +54,7 @@ def _count_one(method: str, n: int, args) -> int:
         try:
             return poly.chapoton_count(n)
         except OverflowError:  # math.comb refuses sizes past sys.maxsize
-            raise CommandError(f"n={n} is too large for the formula") from None
+            raise ValueError(f"n={n} is too large for the formula") from None
     if method == "enumerate":
         _gate(args, n, ENUMERATION_CAP, "enumerate is")
         return count_interval_posets(n)
@@ -78,7 +72,7 @@ def _count_text(n: int, value: int) -> str:
     try:
         return str(value)
     except ValueError:
-        raise CommandError(
+        raise ValueError(
             f"the count for n={n} has more than {sys.get_int_max_str_digits()}"
             " digits, the limit for converting an integer to text") from None
 
@@ -127,7 +121,8 @@ def cmd_interval(args) -> int:
     upper = trees.parse_tree(args.upper)
     poset = intervalposet.make_interval(lower, upper)
     if poset is None:
-        raise CommandError("not a Tamari interval", code=1)
+        print("error: not a Tamari interval", file=sys.stderr)
+        return 1
     show_trees = args.trees
     show_extensions = args.extensions
     show_poset = args.poset or not (show_trees or show_extensions)
@@ -253,7 +248,7 @@ def _parsers() -> tuple[argparse.ArgumentParser,
         p.add_argument("--json", action="store_true",
                        help="emit one JSON object instead of plain text")
         p.add_argument("--max-n", type=int, default=None,
-                       help="raise the capacity cap (brute force is exponential)")
+                       help="raise the capacity caps")
 
     p = sub.add_parser("count", help="count Tamari intervals of size n")
     p.add_argument("n", type=int)
@@ -391,13 +386,6 @@ def main(argv: list[str] | None = None) -> int:
     args.warned = False  # _gate warns once per invocation
     try:
         return args.func(args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except ValueError as exc:  # order.CapacityError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -29,8 +29,8 @@ from operator import le
 from .order import (PERM_CAP, TREE_ORACLE_CAP, CapacityError, Permutation,
                     linear_extensions_of_relation)
 from .poly import Polynomial
-from .trees import (EMPTY, BinaryTree, _bracket_vectors, _fold, _literals,
-                    _trees_of_size)
+from .trees import (BinaryTree, _bracket_vectors, _literals, _trees_of_size,
+                    _vector_tree)
 
 
 class IntervalPosetError(ValueError):
@@ -246,37 +246,6 @@ def make_interval(lower: BinaryTree, upper: BinaryTree) -> IntervalPoset | None:
     return _new(IntervalPoset, succ)
 
 
-def _forest_tree(poset: IntervalPoset, increasing: bool) -> BinaryTree:
-    """Inverse of :func:`_forest_masks`.  The root of a subtree's label
-    range lo..hi is the smallest label in it that hi precedes or is (the
-    decreasing part), or the largest that lo precedes or is (increasing).
-
-    Splitting ranges on a stack, right half popped first, meets the nodes
-    in reversed postorder, so the tree is built from that reading.
-    """
-    ranges, code = [(1, len(poset))], []
-    while ranges:
-        lo, hi = ranges.pop()
-        code.append(2 if lo <= hi else 0)
-        if lo > hi:
-            continue
-        end = lo if increasing else hi
-        row = (poset[end - 1] | 1 << (end - 1)) & _span(lo, hi)
-        root = row.bit_length() if increasing else (row & -row).bit_length()
-        ranges += ((lo, root - 1), (root + 1, hi))
-    return _fold(reversed(code), EMPTY, BinaryTree)
-
-
-def lower_tree(poset: IntervalPoset) -> BinaryTree:
-    """The tree whose decreasing forest matches the poset's decreasing part."""
-    return _forest_tree(poset, increasing=False)
-
-
-def upper_tree(poset: IntervalPoset) -> BinaryTree:
-    """The tree whose increasing forest matches the poset's increasing part."""
-    return _forest_tree(poset, increasing=True)
-
-
 def intersect(i1: IntervalPoset, i2: IntervalPoset) -> IntervalPoset | None:
     """Interval intersection: union of relations, or None when empty."""
     if len(i1) != len(i2):
@@ -342,6 +311,16 @@ def _end_vectors(poset: IntervalPoset) -> tuple[list[int], list[int]]:
         while end[a] < n - 1 and poset[end[a] + 1] >> a & 1:
             end[a] = end[end[a] + 1]
     return [e - a for a, e in enumerate(end)], hi
+
+
+def lower_tree(poset: IntervalPoset) -> BinaryTree:
+    """The tree whose decreasing forest matches the poset's decreasing part."""
+    return _vector_tree(_end_vectors(poset)[0])
+
+
+def upper_tree(poset: IntervalPoset) -> BinaryTree:
+    """The tree whose increasing forest matches the poset's increasing part."""
+    return _vector_tree(_end_vectors(poset)[1])
 
 
 def _interval_positions(poset: IntervalPoset, max_n: int) -> list[int]:

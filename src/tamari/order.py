@@ -21,7 +21,7 @@ Permutation = tuple[int, ...]
 
 
 class CapacityError(ValueError):
-    """Raised when a brute-force routine is asked to exceed its size cap."""
+    """Raised when a size-capped routine is asked to exceed its size cap."""
 
 
 def _check_permutation(p: Permutation) -> None:

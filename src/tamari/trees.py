@@ -173,6 +173,21 @@ def _bracket_vectors(n: int) -> tuple[tuple[int, ...], ...]:
     return _shared_fold(n, (), lambda left, right: left + (len(right),) + right)
 
 
+def _vector_tree(vector) -> BinaryTree:
+    """The tree of a bracket vector (right-subtree sizes by 0-based label),
+    built in one pass over the labels.  A node waits on a stack with its
+    left subtree and the label at which its right subtree ends; at that
+    label, the tree built since it waited is its right subtree.  The tree
+    built since the nearest waiting node is the next label's left subtree."""
+    waiting, done = [], EMPTY
+    for label, size in enumerate(vector):
+        waiting.append((done, label + size))
+        done = EMPTY
+        while waiting and waiting[-1][1] == label:
+            done = BinaryTree(waiting.pop()[0], done)
+    return done
+
+
 @cache
 def _literals(n: int) -> tuple[str, ...]:
     """The literals of :func:`enumerate_trees` (n), in that order, built

@@ -14,7 +14,7 @@ from functools import cache
 from itertools import accumulate
 from math import comb, factorial
 
-from tamari.intervalposet import IntervalPosetError, lower_tree, upper_tree
+from tamari.intervalposet import IntervalPosetError, dec_forest, inc_forest
 from tamari.mtamari import (BallotPath, MAryTree, _mary_children, _path_code,
                             enumerate_ballot_paths, path_upset)
 from tamari.order import sylvester_class, tamari_leq_oracle, tamari_upset
@@ -67,9 +67,15 @@ def bracket_vector(tree: BinaryTree) -> list[int]:
 
 def oracle_trees_in_interval(poset) -> list[BinaryTree]:
     """The trees of an interval-poset's interval in canonical order, by
-    rotation closure from its lower tree and to its upper tree."""
-    lo, hi = lower_tree(poset), upper_tree(poset)
-    return [t for t in enumerate_trees(poset.n)
+    rotation closure from its lower tree and to its upper tree.  The ends
+    are found by search: the trees whose decreasing and increasing forests
+    are the poset's rows on that side."""
+    elements = enumerate_trees(poset.n)
+    down = [row & (1 << a - 1) - 1 for a, row in enumerate(poset, 1)]
+    up = [row >> a << a for a, row in enumerate(poset, 1)]
+    lo = next(t for t in elements if list(dec_forest(t)) == down)
+    hi = next(t for t in elements if list(inc_forest(t)) == up)
+    return [t for t in elements
             if tamari_leq_oracle(lo, t) and tamari_leq_oracle(t, hi)]
 
 

@@ -1,6 +1,6 @@
-"""Mutants of the packed kernels, the composition, the shared path fold and
-the command line's capacity gate and parser, each with the tests that must
-kill it.
+"""Mutants of the packed kernels, the series, the composition, the
+interval-posets, the tree and path codes and the command line, each with
+the tests that must kill it.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -173,11 +173,58 @@ MUTANTS = {
         ("tests/test_packed.py::"
          "test_root_bound_is_the_count_or_the_degree_product",
          "tests/test_packed.py::test_large_bivar_polynomial[119]")),
+    "slot sum reads a zero residue as zero": Mutant(
+        "poly.py",
+        "return residue if residue or not packed else mask",
+        "return residue",
+        ("tests/test_packed.py::test_slot_sum_at_the_top_of_its_range",)),
+    "repacking copies one byte of each slot short": Mutant(
+        "poly.py",
+        "range(min(size, new_size))",
+        "range(min(size, new_size) - 1)",
+        ("tests/test_packed.py::test_large_tree_polynomials",)),
+    "sized link never repacks the lower operand": Mutant(
+        "poly.py",
+        "        if v != w:\n",
+        "        if False:\n",
+        ("tests/test_packed.py::test_large_tree_polynomials",
+         "tests/test_packed.py::test_large_bivar_polynomial")),
+    "sized fold drops the fourth moment": Mutant(
+        "poly.py",
+        "a4 = a3 * (d - 3) // 4 if d > 3 else 0",
+        "a4 = 0",
+        ("tests/test_packed.py::test_top_tree_polynomials",
+         "tests/test_packed.py::test_large_path_polynomial")),
+    "series layers skip the slope": Mutant(
+        "poly.py",
+        "slope.append(chain + _slope(chain, width))",
+        "slope.append(chain)",
+        ("tests/test_poly.py::test_phi_series",
+         "tests/test_mtamari.py::test_phi_m_series_matches_closed_form")),
+    "series width one degree short": Mutant(
+        "poly.py",
+        "comb((m + 1) ** 2 * (max_degree + 1) + m,\n"
+        "                             max_degree)",
+        "comb((m + 1) ** 2 * max_degree + m,\n"
+        "                             max_degree - 1)",
+        ("tests/test_poly.py::test_phi_series",
+         "tests/test_packed.py::test_phi_m_series_top_degree")),
     "postfix code of a binary node takes its subtrees swapped": Mutant(
         "trees.py",
         "stack += node.left, node.right",
         "stack += node.right, node.left",
         ("tests/test_packed.py::test_top_tree_polynomials[3]",)),
+    "cover rule loses the rotated node itself": Mutant(
+        "trees.py",
+        "w[x] += v[end + 1] + 1",
+        "w[x] += v[end + 1]",
+        ("tests/test_trees.py::test_bracket_vector_covers_are_the_rotations",
+         )),
+    "vector tree closes one waiting node per label": Mutant(
+        "trees.py",
+        "while waiting and waiting[-1][1] == label:",
+        "if waiting and waiting[-1][1] == label:",
+        ("tests/test_intervalposet.py::test_lower_upper_tree_roundtrip",)),
     "shared path fold takes a power of x for x": Mutant(
         "mtamari.py",
         "        if r[1] != 1 or r[0] != 1:\n",
@@ -207,6 +254,11 @@ MUTANTS = {
         "[0] * (len(code) - code.count(0))",
         "[0] * (len(code) - code.count(0) - 1)",
         ("tests/test_packed.py::test_top_path_polynomials[2]",)),
+    "ballot slack one short": Mutant(
+        "mtamari.py",
+        "slack = (m + 1) * norths - len(word)",
+        "slack = (m + 1) * norths - len(word) - 1",
+        ("tests/test_mtamari.py::test_enumerate_ballot_paths",)),
     "axiom check carries no failure from the next row": Mutant(
         "intervalposet.py",
         "(bad[a + 1] | ~succ[a + 1])",
@@ -243,6 +295,23 @@ MUTANTS = {
         ("tests/test_deep_trees.py::"
          "test_decreasing_failure_at_the_lowest_row[8]",
          "tests/test_properties.py::test_validate_matches_sparse_reference")),
+    "make_interval skips the nearest-parent test": Mutant(
+        "intervalposet.py",
+        "if any(_through_nearest(succ, v) & ~row",
+        "if False and any(_through_nearest(succ, v) & ~row",
+        ("tests/test_intervalposet.py::test_make_interval_incomparable",)),
+    "a poset equals a plain tuple of its rows": Mutant(
+        "intervalposet.py",
+        "return isinstance(other, IntervalPoset) and "
+        "tuple.__eq__(self, other)",
+        "return tuple.__eq__(self, other)",
+        ("tests/test_intervalposet.py::"
+         "test_a_poset_is_a_value_of_its_rows_alone",)),
+    "upper end vector one label long": Mutant(
+        "intervalposet.py",
+        "(above & -above).bit_length() - 1 if above",
+        "(above & -above).bit_length() if above",
+        ("tests/test_intervalposet.py::test_lower_upper_tree_roundtrip",)),
     "sort key drops its tie-break": Mutant(
         "compose.py",
         "\n            - low for part in parts",
@@ -286,6 +355,11 @@ MUTANTS = {
         ("tests/test_compose.py::test_packed_terms_match_compose",
          "tests/test_compose.py::test_packed_count_matches_the_formula",
          "tests/test_compose.py::test_enumeration_text_is_pinned")),
+    "packed stride one bit narrow": Mutant(
+        "compose.py",
+        "shift = k1 * (_W + 1)",
+        "shift = k1 * _W",
+        ("tests/test_compose.py::test_packed_terms_match_compose",)),
     "capacity gate refuses a size equal to its cap": Mutant(
         "cli.py",
         "if n > cap:",
@@ -300,6 +374,13 @@ MUTANTS = {
         "capped at {name}={default} ",
         ("tests/test_cli.py::"
          "test_a_raised_cap_still_exceeded_names_the_raised_cap",)),
+    "an incomparable pair exits 2": Mutant(
+        "cli.py",
+        'print("error: not a Tamari interval", file=sys.stderr)\n'
+        "        return 1",
+        'print("error: not a Tamari interval", file=sys.stderr)\n'
+        "        return 2",
+        ("tests/test_cli.py::test_interval_incomparable",)),
     "exact parse takes a value outside the option's choices": Mutant(
         "cli.py",
         "if action.choices is not None and value not in action.choices:",
@@ -327,6 +408,13 @@ SURVIVORS = {
         "the larger labels that precede a are contiguous (decreasing "
         "closure), so stepping over them one by one ends where the jumps "
         "do, only in O(n^2) steps"),
+    "sized fold counts no spare bits": Survivor(
+        "poly.py",
+        "int((s + 1) * rate) + 2",
+        "int((s + 1) * rate)",
+        "Stirling puts C(a(s+1), s+1) below 2^(rate (s+1)), and the chain "
+        "is at most the Fuss-Catalan count, one bit or more below that "
+        "binomial, so the slots are wide enough without the two bits"),
 }
 
 

@@ -327,10 +327,12 @@ def test_output_stable_across_hash_seeds():
     def run_seeded(seed):
         env = dict(os.environ, PYTHONHASHSEED=seed)
         return subprocess.run(
-            [sys.executable, "-m", "tamari.cli", "lattice", "4", "--json"],
+            [sys.executable, "-m", "tamari", "lattice", "4", "--json"],
             capture_output=True, text=True, env=env, check=True).stdout
 
-    assert run_seeded("1") == run_seeded("42")
+    out = run_seeded("1")
+    assert len(json.loads(out)["vertices"]) == 14
+    assert out == run_seeded("42")
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -88,6 +88,26 @@ def test_validate_rejects_violations():
         validate(2, [(1, 3)])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: validate(-1, ()), "size must be non-negative"),
+    (lambda: IntervalPoset(-2), "size must be non-negative"),
+    (lambda: interval_contains(IntervalPoset(2), IntervalPoset(3)),
+     "posets must have the same size"),
+], ids=["validate", "constructor", "interval_contains"])
+def test_size_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("n, relations, text", [
+    (0, (), "<IntervalPoset n=0 >"),
+    (3, [(1, 2)], "<IntervalPoset n=3 1<2>"),
+    (4, [(2, 1), (2, 3)], "<IntervalPoset n=4 2<1,2<3>"),
+])
+def test_poset_repr(n, relations, text):
+    assert repr(IntervalPoset(n, relations)) == text
+
+
 def test_validate_empty_poset():
     poset = validate(0, [])
     assert poset.n == 0 and not poset.relations
@@ -371,11 +391,13 @@ def test_large_trees_in_interval_is_the_rotation_closure_filter(n, data):
 
 
 def test_end_vectors_are_the_end_trees_vectors():
-    posets = [p for n in range(8) for p in all_posets(n)]
-    assert len(posets) == 19980
-    for poset in posets:
-        assert _end_vectors(poset) == (bracket_vector(lower_tree(poset)),
-                                       bracket_vector(upper_tree(poset)))
+    # the end trees come from the end vectors, so the check starts from
+    # the trees
+    pairs = [pair for n in range(8) for pair in tree_leq_pairs(n)]
+    assert len(pairs) == 19980
+    for t, u in pairs:
+        assert _end_vectors(make_interval(t, u)) == (bracket_vector(t),
+                                                     bracket_vector(u))
 
 
 def test_interval_literals_format_the_listed_trees():

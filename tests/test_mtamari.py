@@ -46,6 +46,28 @@ def test_parse_ballot_path_rejects_what_int_would_guess(text):
         parse_ballot_path(text)
 
 
+def test_ballot_path_repr():
+    assert repr(BallotPath(2, "NENEEE")) == "<BallotPath m=2:NENEEE>"
+    assert repr(BallotPath(1, "")) == "<BallotPath m=1:>"
+
+
+@pytest.mark.parametrize("m, n, message", [
+    (0, 3, "slope parameter m must be at least 1"),
+    (2, -1, "series order must be non-negative"),
+])
+def test_phi_m_series_refuses_bad_arguments(m, n, message):
+    with pytest.raises(ValueError, match=message):
+        phi_m_series(m, n)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_mary_trees_hash_by_shape(m):
+    trees = [path_to_mary_prefix(p) for p in enumerate_ballot_paths(m, 3)]
+    again = [path_to_mary_prefix(p) for p in enumerate_ballot_paths(m, 3)]
+    assert all(a is not b and hash(a) == hash(b) for a, b in zip(trees, again))
+    assert len(set(trees) | set(again)) == len(trees)
+
+
 def test_enumerate_ballot_paths():
     assert len(enumerate_ballot_paths(1, 3)) == 5
     assert enumerate_ballot_paths(1, 0) == [BallotPath(1, "")]

@@ -74,6 +74,27 @@ def test_constant_polynomials_hash_as_their_integers():
     assert hash(X) == hash(poly_of("x")) and X != 1
 
 
+@pytest.mark.parametrize("value, text", [
+    (X + 1, "1 + x"), (X - 1, "-1 + x"), (1 - X, "1 - x"),
+])
+def test_integers_mix_into_polynomial_arithmetic(value, text):
+    assert value == poly_of(text)
+    assert repr(value) == f"Polynomial({text})"
+
+
+@pytest.mark.parametrize("value, truth", [
+    (Polynomial(), False), (X - X, False), (ONE, True), (X, True),
+])
+def test_a_polynomial_is_true_when_not_zero(value, truth):
+    assert bool(value) is truth
+
+
+@pytest.mark.parametrize("other", ["a", 1.5, None])
+def test_polynomials_add_no_other_type(other):
+    with pytest.raises(TypeError):
+        X + other
+
+
 def test_delta():
     assert delta(poly_of("x^2")) == poly_of("1 + x")
     assert delta(ONE) == Polynomial()
@@ -184,6 +205,11 @@ def test_phi_series():
     phi = phi_series(4)
     assert [phi.y_coefficient(k).subs(x=1).constant() for k in range(5)] == \
         [1, 1, 3, 13, 68]
+
+
+def test_phi_series_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="series order must be non-negative"):
+        phi_series(-1)
 
 
 def test_phi_series_matches_fixed_point():

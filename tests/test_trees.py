@@ -23,6 +23,12 @@ def test_size():
     assert parse_tree(TREE6).size == 6
 
 
+@pytest.mark.parametrize("left, right", [(EMPTY, None), (None, EMPTY)])
+def test_a_node_takes_two_subtrees(left, right):
+    with pytest.raises(ValueError, match="use EMPTY, not None"):
+        BinaryTree(left, right)
+
+
 def test_border_counts():
     assert left_border_count(EMPTY) == 0
     assert left_border_count(left_comb(3)) == 3
