@@ -47,51 +47,39 @@ def linear_extensions_of_relation(n: int, prec,
                                   max_n: int = PERM_CAP) -> list[Permutation]:
     """All permutations of 1..n compatible with the precedence pairs.
 
-    ``prec`` is an iterable of pairs (a, b) meaning a must appear before b.
-    Output is in lexicographic order.
+    ``prec`` is an iterable of pairs (a, b) of labels in 1..n meaning a
+    must appear before b; any other pair raises ValueError.  Output is in
+    lexicographic order.
     """
     if n > max_n:
         raise CapacityError(f"linear extension enumeration capped at n={max_n}")
-    preds: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    preds = [0] * (n + 1)  # bit a of preds[b] is set when a precedes b
     for a, b in prec:
-        preds[b].add(a)
-    out: list[Permutation] = []
-    acc: list[int] = []
-    placed: set[int] = set()
-
-    def extend() -> None:
-        if len(acc) == n:
-            out.append(tuple(acc))
-            return
-        for v in range(1, n + 1):
-            if v not in placed and preds[v] <= placed:
-                acc.append(v)
-                placed.add(v)
-                extend()
-                acc.pop()
-                placed.remove(v)
-
-    extend()
-    return out
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ValueError(f"pair ({a}, {b}) is not in 1..{n}")
+        preds[b] |= 1 << a
+    # every prefix, one level at a time; each level stays in lexicographic
+    # order, since each prefix grows by its next labels in ascending order
+    level: list[tuple[Permutation, int]] = [((), 0)]
+    for _ in range(n):
+        level = [(word + (v,), placed | 1 << v) for word, placed in level
+                 for v in range(1, n + 1)
+                 if not placed >> v & 1 and not preds[v] & ~placed]
+    return [word for word, _ in level]
 
 
 def bst_relation(tree: BinaryTree) -> set[tuple[int, int]]:
     """The binary-search-tree poset of a tree: a precedes b iff a sits in
     the subtree rooted at b (labels are in-order positions)."""
     pairs: set[tuple[int, int]] = set()
-
-    def walk(t: BinaryTree, lo: int) -> None:
-        if not t:
-            return
-        root = lo + t.left.size
-        hi = lo + t.size - 1
-        for a in range(lo, hi + 1):
-            if a != root:
-                pairs.add((a, root))
-        walk(t.left, lo)
-        walk(t.right, root + 1)
-
-    walk(tree, 1)
+    stack = [(tree, 1)]  # a subtree and its first label
+    while stack:
+        t, lo = stack.pop()
+        if t:
+            root = lo + t.left.size
+            pairs.update((a, root) for a in range(lo, lo + t.size)
+                         if a != root)
+            stack += (t.left, lo), (t.right, root + 1)
     return pairs
 
 

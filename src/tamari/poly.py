@@ -171,8 +171,10 @@ Y = Polynomial.monomial(1, ey=1)
 B = Polynomial.monomial(1, eb=1)
 
 
-_VARIABLES = ("x", "y", "b")
-_is_number = re.compile(r"[0-9]+").fullmatch  # ASCII digits, unlike isdecimal
+# the grammar of polynomial text; integers are runs of ASCII digits
+_FACTOR = r"([0-9]+)|([xyb])(?:\s*\^\s*([0-9]+))?"  # number | variable, power
+_TERM = rf"(?:{_FACTOR})(?:\s*\*\s*(?:{_FACTOR}))*"
+_POLYNOMIAL = re.compile(rf"\s*(?:-\s*)?{_TERM}(?:\s*[+-]\s*{_TERM})*\s*")
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -184,40 +186,19 @@ def parse_polynomial(text: str) -> Polynomial:
     digits.  Whitespace between tokens is ignored.  Anything else raises
     ValueError.
     """
-    tokens = re.findall(r"[0-9]+|\S", text) + [""]  # "" ends the text
+    if not _POLYNOMIAL.fullmatch(text):
+        raise ValueError(f"not a polynomial: {text!r}")
     terms: dict[Key, int] = {}
-    pos, sign = (1, -1) if tokens[0] == "-" else (0, 1)
-    while True:
-        coeff, exps = sign, [0, 0, 0]
-        while True:
-            token = tokens[pos]
-            pos += 1
-            if _is_number(token):
-                coeff *= int(token)
-            elif token in _VARIABLES:
-                power = 1
-                if tokens[pos] == "^":
-                    if not _is_number(tokens[pos + 1]):
-                        raise ValueError(f"expected an exponent after '^' in "
-                                         f"{text!r}")
-                    power, pos = int(tokens[pos + 1]), pos + 2
-                exps[_VARIABLES.index(token)] += power
+    for sign, term in re.findall(r"([+-]?)([^+-]+)", text.strip()):
+        coeff, exps = -1 if sign == "-" else 1, [0, 0, 0]
+        for number, variable, power in re.findall(_FACTOR, term):
+            if variable:
+                exps["xyb".index(variable)] += int(power or 1)
             else:
-                raise ValueError(f"expected a number or one of x, y, b at "
-                                 f"token {token!r} of {text!r}")
-            if tokens[pos] != "*":
-                break
-            pos += 1
-        key = (exps[0], exps[1], exps[2])
+                coeff *= int(number)
+        key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff
-        separator = tokens[pos]
-        pos += 1
-        if not separator:
-            return Polynomial(terms)
-        if separator not in ("+", "-"):
-            raise ValueError(f"expected '+' or '-' at token {separator!r} "
-                             f"of {text!r}")
-        sign = 1 if separator == "+" else -1
+    return Polynomial(terms)
 
 
 def delta(g: Polynomial) -> Polynomial:

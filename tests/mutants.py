@@ -209,6 +209,22 @@ MUTANTS = {
         "                             max_degree - 1)",
         ("tests/test_poly.py::test_phi_series",
          "tests/test_packed.py::test_phi_m_series_top_degree")),
+    "polynomial grammar loses the leading minus": Mutant(
+        "poly.py",
+        r'rf"\s*(?:-\s*)?{_TERM}',
+        r'rf"\s*{_TERM}',
+        ("tests/test_poly.py::test_polynomial_arithmetic_and_rendering",)),
+    "parsed variable without a power gets exponent 0": Mutant(
+        "poly.py",
+        "int(power or 1)",
+        "int(power or 0)",
+        ("tests/test_poly.py::test_polynomial_arithmetic_and_rendering",
+         "tests/test_acceptance.py::test_criterion_2_refined_series")),
+    "parsed term ignores its sign": Mutant(
+        "poly.py",
+        'coeff, exps = -1 if sign == "-" else 1, [0, 0, 0]',
+        "coeff, exps = 1, [0, 0, 0]",
+        ("tests/test_poly.py::test_polynomial_arithmetic_and_rendering",)),
     "postfix code of a binary node takes its subtrees swapped": Mutant(
         "trees.py",
         "stack += node.left, node.right",
@@ -312,6 +328,24 @@ MUTANTS = {
         "(above & -above).bit_length() - 1 if above",
         "(above & -above).bit_length() if above",
         ("tests/test_intervalposet.py::test_lower_upper_tree_roundtrip",)),
+    "linear extensions take labels in descending order": Mutant(
+        "order.py",
+        "for v in range(1, n + 1)",
+        "for v in range(n, 0, -1)",
+        ("tests/test_intervalposet.py::test_linear_extensions_four_node_pair",
+         "tests/test_cli.py::test_interval_extensions")),
+    "linear extensions invert the precedence test": Mutant(
+        "order.py",
+        "not preds[v] & ~placed",
+        "not preds[v] & placed",
+        ("tests/test_intervalposet.py::test_linear_extensions_four_node_pair",
+         "tests/test_order.py::test_sylvester_class_examples")),
+    "search-tree relation relates the root to itself": Mutant(
+        "order.py",
+        "range(lo, lo + t.size)\n                         if a != root)",
+        "range(lo, lo + t.size))",
+        ("tests/test_order.py::test_sylvester_class_examples",
+         "tests/test_order.py::test_sylvester_classes_partition_permutations")),
     "sort key drops its tie-break": Mutant(
         "compose.py",
         "\n            - low for part in parts",

@@ -22,7 +22,7 @@ from tamari.intervalposet import (IntervalPoset, IntervalPosetError,
                                   upper_tree, validate)
 from tamari.mtamari import (LEAF, BallotPath, MAryTree, mary_tamari_poly,
                             path_to_mary_prefix)
-from tamari.order import CapacityError
+from tamari.order import CapacityError, bst_relation
 from tamari.poly import (Polynomial, tamari_poly, tamari_poly_bivar,
                          tamari_poly_mirror)
 from tamari.trees import (EMPTY, BinaryTree, format_tree, from_dyck,
@@ -32,6 +32,9 @@ DEPTH = 10_000
 # posets read from text or intersected are still closed by a Warshall pass
 # of n^2 row tests, so they are checked at a size of their own
 INTERVAL_SIZE = 1_000
+# an interval's extensions and the oracle's forest are quadratic in the
+# size, so they too run at a size of their own past the recursion limit
+EXTENSIONS_SIZE = 1_100
 LEAF_NODE = BinaryTree(EMPTY, EMPTY)
 
 
@@ -228,6 +231,20 @@ def test_deep_interval_command(capsys):
     literal = left_literal(DEPTH)
     assert main(["interval", literal, literal]) == 0
     assert capsys.readouterr().out.startswith(f"n={DEPTH}\n1<2,2<3,")
+
+
+def test_deep_extensions_command(capsys):
+    literal = left_literal(EXTENSIONS_SIZE)
+    assert main(["interval", literal, literal, "--extensions", "--max-n",
+                 str(EXTENSIONS_SIZE)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("1,2,3,")
+
+
+def test_deep_bst_relation():
+    n = EXTENSIONS_SIZE
+    assert bst_relation(left_comb(n)) == {
+        (a, b) for b in range(1, n + 1) for a in range(1, b)}
 
 
 @pytest.mark.parametrize("argv, out", [

@@ -20,13 +20,11 @@ SOURCE = Path(tamari.__file__).parent
 
 # the cycles that may stay, each with the bound on its depth
 ALLOWED = {
-    ("order.bst_relation.walk",):
-        "the oracle's own forest builder, kept apart from the code it checks; "
-        "sylvester_class caps its trees at PERM_CAP",
-    ("order.linear_extensions_of_relation.extend",):
-        "depth n, at most max_n (PERM_CAP unless raised)",
     ("trees._trees_of_size",):
-        "depth n; the trees are enumerated only up to the CLI caps",
+        "depth n; it builds all Catalan(n) trees, so no call past n of about "
+        "16 finishes, and a --max-n above the recursion limit makes "
+        "lattice, count --method bruteforce and interval --trees end in "
+        "RecursionError",
     ("compose._bottoms", "compose._posets_of_size", "compose._terms",
      "compose._top_level"):
         "depth n; interval-posets are enumerated only up to size 16, the "

@@ -5,8 +5,9 @@ import pytest
 
 from helpers import bracket_vector, sylvester_classes, tree_upsets
 from tamari.order import (CapacityError, coinv, count_intervals_bruteforce,
-                          format_permutation, parse_permutation,
-                          sylvester_class, tamari_leq_oracle, weak_leq)
+                          format_permutation, linear_extensions_of_relation,
+                          parse_permutation, sylvester_class,
+                          tamari_leq_oracle, weak_leq)
 from tamari.trees import enumerate_trees, parse_tree
 
 LEFT_COMB_4 = parse_tree("[[[[_,_],_],_],_]")
@@ -61,6 +62,12 @@ def test_sylvester_class_is_weak_order_interval():
 def test_sylvester_capacity():
     with pytest.raises(CapacityError):
         sylvester_class(parse_tree("N" * 8 + "E" * 8))
+
+
+@pytest.mark.parametrize("pair", [(1, 4), (0, 2)])
+def test_linear_extensions_refuse_pairs_outside_the_labels(pair):
+    with pytest.raises(ValueError):
+        linear_extensions_of_relation(3, [pair])
 
 
 def test_tamari_leq_oracle():

@@ -57,6 +57,20 @@ def test_parse_polynomial_rejects_malformed_text(text):
         parse_polynomial(text)
 
 
+@pytest.mark.parametrize("text, terms", [
+    ("x ^ 2 * y", {(2, 1, 0): 1}),
+    ("- x + 1", {(1, 0, 0): -1, (0, 0, 0): 1}),
+    ("x\u2003+\u00a01", {(1, 0, 0): 1, (0, 0, 0): 1}),  # Unicode whitespace
+    ("x\n+\ny", {(1, 0, 0): 1, (0, 1, 0): 1}),
+    ("x*x*2*3", {(2, 0, 0): 6}),
+    ("0*x + 1", {(0, 0, 0): 1}),
+    ("x^0", {(0, 0, 0): 1}),
+    ("x + x", {(1, 0, 0): 2}),
+])
+def test_parse_polynomial_accepts_spaced_and_repeated_factors(text, terms):
+    assert parse_polynomial(text) == Polynomial(terms)
+
+
 def test_subs_and_constant():
     p = poly_of("x^2*y + 3*x*y*b")
     assert p.subs(x=1, b=1) == poly_of("4*y")
