@@ -292,35 +292,37 @@ def linear_extensions(poset: IntervalPoset,
                                          max_n=max_n)
 
 
-def _end_vectors(poset: IntervalPoset) -> tuple[list[int], list[int]]:
-    """The bracket vectors of the lower and upper trees (right-subtree
-    sizes by 0-based label), read off the rows with no tree built.
-
-    In the upper tree a precedes a larger label b exactly when a lies in
-    b's left subtree, so a's right subtree ends just below the smallest
-    larger label a precedes, or at n.  In the lower tree a larger label b
-    precedes a exactly when b lies in a's right subtree; these b run on
-    from a+1 (decreasing closure), so a's end jumps to the end of the
-    label after it while that label precedes a."""
-    n, hi = len(poset), []
-    for a, row in enumerate(poset, 1):
-        above = row >> a
-        hi.append((above & -above).bit_length() - 1 if above else n - a)
+def _lower_vector(poset: IntervalPoset) -> list[int]:
+    """The bracket vector of the lower tree (right-subtree sizes by 0-based
+    label), read off the rows with no tree built.  In the lower tree a
+    larger label b precedes a exactly when b lies in a's right subtree;
+    these b run on from a+1 (decreasing closure), so a's end jumps to the
+    end of the label after it while that label precedes a."""
+    n = len(poset)
     end = list(range(n))  # 0-based, as the labels of the bracket vectors
     for a in range(n - 2, -1, -1):
         while end[a] < n - 1 and poset[end[a] + 1] >> a & 1:
             end[a] = end[end[a] + 1]
-    return [e - a for a, e in enumerate(end)], hi
+    return [e - a for a, e in enumerate(end)]
+
+
+def _upper_vector(poset: IntervalPoset) -> list[int]:
+    """The bracket vector of the upper tree, read off the rows.  In the
+    upper tree a precedes a larger label b exactly when a lies in b's left
+    subtree, so a's right subtree ends just below the smallest larger
+    label a precedes, or at n."""
+    return [(above & -above).bit_length() - 1 if (above := row >> a)
+            else len(poset) - a for a, row in enumerate(poset, 1)]
 
 
 def lower_tree(poset: IntervalPoset) -> BinaryTree:
     """The tree whose decreasing forest matches the poset's decreasing part."""
-    return _vector_tree(_end_vectors(poset)[0])
+    return _vector_tree(_lower_vector(poset))
 
 
 def upper_tree(poset: IntervalPoset) -> BinaryTree:
     """The tree whose increasing forest matches the poset's increasing part."""
-    return _vector_tree(_end_vectors(poset)[1])
+    return _vector_tree(_upper_vector(poset))
 
 
 def _interval_positions(poset: IntervalPoset, max_n: int) -> list[int]:
@@ -330,7 +332,7 @@ def _interval_positions(poset: IntervalPoset, max_n: int) -> list[int]:
     1972)."""
     if len(poset) > max_n:
         raise CapacityError(f"interval tree listing capped at n={max_n}")
-    lo, hi = _end_vectors(poset)
+    lo, hi = _lower_vector(poset), _upper_vector(poset)
     return [i for i, v in enumerate(_bracket_vectors(len(poset)))
             if all(map(le, lo, v)) and all(map(le, v, hi))]
 

@@ -27,7 +27,7 @@ from operator import attrgetter
 
 from .poly import (Polynomial, _chain_fold, _fuss_catalan, _series_layers,
                    _slot_sum, _slot_width, _times_slope, _to_polynomial)
-from .trees import _fold, _postfix
+from .trees import _ballot_walk, _fold, _postfix
 
 
 class BallotPath:
@@ -103,24 +103,10 @@ def enumerate_ballot_paths(m: int, n: int) -> list[BallotPath]:
 def _ballot_paths(m: int, n: int) -> tuple[BallotPath, ...]:
     """The paths :func:`enumerate_ballot_paths` lists, built once per m and
     n, so that one size's paths are the same objects in every listing and
-    in the :func:`path_upset` cache.
-
-    Each word is listed by its north steps: a prefix on the stack ends in
-    a north step (or is empty), and the next one follows k more east
-    steps, with k from 0 up to the prefix's slack m * norths - easts.
-    Once a prefix holds all n north steps, east steps pad it to length."""
-    out: list[BallotPath] = []
-    stack = [("", 0)]  # (prefix, north steps)
-    while stack:
-        word, norths = stack.pop()
-        if norths == n:
-            out.append(BallotPath._trusted(m, word.ljust((m + 1) * n, "E")))
-            continue
-        slack = (m + 1) * norths - len(word)
-        # k = 0 pushed last, so the prefixes pop in N-before-E order
-        stack += [(word + "E" * k + "N", norths + 1)
-                  for k in range(slack, -1, -1)]
-    return tuple(out)
+    in the :func:`path_upset` cache: the ballot-word walk
+    :func:`tamari.trees._ballot_walk` with the word as its state."""
+    words = _ballot_walk(m, n, "", lambda w: w + "N", lambda w: w + "E")
+    return tuple([BallotPath._trusted(m, word) for word in words])
 
 
 def path_rotation_covers(path: BallotPath) -> set[BallotPath]:

@@ -14,10 +14,10 @@ Tree walks run on explicit stacks, most of them as folds over the tree's
 postfix code (:func:`_postfix`), so trees of any depth parse, print and
 fold.  The text parsers check their input and yield that code
 (:func:`_parse_code`), which a caller can fold into a tree or straight
-into a value.  The trees of one size share their subtrees, so a fold of
-them all takes one step per tree (:func:`_shared_fold`); the bracket
-vectors and literals of each size are folded once per process.  Only the
-size-capped oracles and enumerators recurse.
+into a value.  The trees of one size, their bracket vectors and their
+literals are each one fold along the Dyck words of that size, walked once
+per process by :func:`_ballot_walk`, the walk that also lists the ballot
+paths of :mod:`tamari.mtamari`.
 """
 
 from __future__ import annotations
@@ -149,19 +149,40 @@ def tamari_covers_up(tree: BinaryTree) -> list[BinaryTree]:
     return [u for u in rotated if u is not None]
 
 
-def _shared_fold(n: int, leaf, combine) -> tuple:
-    """The fold of each tree of :func:`enumerate_trees` (n), in that order:
-    ``leaf`` for the empty tree and ``combine`` of the values of the two
-    subtrees for a node.  A tree of size k is a node on two trees of
-    smaller sizes, the very objects listed for those sizes, so one
-    ``combine`` per tree of each size up to n, keyed by ``id``, folds them
-    all."""
-    elements = enumerate_trees(n)
-    values = {id(EMPTY): leaf}
-    for k in range(1, n + 1):
-        for t in _trees_of_size(k):
-            values[id(t)] = combine(values[id(t.left)], values[id(t.right)])
-    return tuple([values[id(t)] for t in elements])
+def _ballot_walk(m: int, n: int, start, north, east) -> tuple:
+    """The states at the ends of the m-ballot words with n north steps, in
+    N-before-E order: ``start`` stepped by ``north`` at each N and ``east``
+    at each E.  A prefix on the stack ends in a north step (or is empty),
+    and is stepped once for all its words: the next prefixes add k east
+    steps and a north step, k from 0 to the slack m * norths - easts, each
+    stepped from the one before.  At n north steps, east steps pad it."""
+    if n < 0:
+        raise ValueError("size must be non-negative")
+    ends, stack = [], [(start, 0, 0)]  # (state, north steps, east steps)
+    while stack:
+        state, norths, easts = stack.pop()
+        states = [state]  # after 0, 1, ..., slack more east steps
+        for _ in range(m * norths - easts):
+            states.append(east(states[-1]))
+        if norths == n:
+            ends.append(states[-1])
+        else:  # k = 0 pushed last, so the prefixes pop in N-before-E order
+            stack += [(north(states[k]), norths + 1, easts + k)
+                      for k in range(len(states) - 1, -1, -1)]
+    return tuple(ends)
+
+
+def _dyck_fold(n: int, leaf, combine) -> tuple:
+    """The fold of each tree of :func:`enumerate_trees` (n), in that order,
+    along its Dyck word (an m = 1 ballot word), on a linked stack of the
+    values of the subtrees read: it starts with the empty subtree whose N
+    the word drops, N pushes ``leaf`` and E combines the top two values."""
+    def east(stack):
+        right, (left, below) = stack
+        return combine(left, right), below
+
+    return tuple([value for value, _ in _ballot_walk(
+        1, n, (leaf, None), lambda stack: (leaf, stack), east)])
 
 
 @cache
@@ -170,7 +191,7 @@ def _bracket_vectors(n: int) -> tuple[tuple[int, ...], ...]:
     built once per size: each tree's right-subtree sizes by in-order label.
     A node's vector is its left subtree's, then the size of its right
     subtree (its vector's length), then its right subtree's."""
-    return _shared_fold(n, (), lambda left, right: left + (len(right),) + right)
+    return _dyck_fold(n, (), lambda left, right: left + (len(right),) + right)
 
 
 def _vector_tree(vector) -> BinaryTree:
@@ -193,7 +214,7 @@ def _literals(n: int) -> tuple[str, ...]:
     """The literals of :func:`enumerate_trees` (n), in that order, built
     once per size: each is :func:`format_tree` of its tree, joined from its
     subtrees' literals."""
-    return _shared_fold(n, "_", _node_literal)
+    return _dyck_fold(n, "_", _node_literal)
 
 
 def format_trees(n: int) -> list[str]:
@@ -206,7 +227,7 @@ def tamari_cover_edges(n: int) -> list[tuple[int, int]]:
     """The covers of the Tamari lattice on :func:`enumerate_trees` (n): the
     sorted pairs (i, j) with tree j one right rotation above tree i, the
     pairs :func:`tamari_covers_up` gives, read off the bracket vectors
-    :func:`_bracket_vectors` folds over the enumeration's shared subtrees.
+    :func:`_bracket_vectors` folds along the enumeration's Dyck words.
 
     In a bracket vector v (right subtree sizes by 0-based label) the
     subtree of node z ends at label z + v[z].  The subtrees ending at y - 1
@@ -242,21 +263,11 @@ _DYCK_ORDER = str.maketrans("NE", "01")
 
 @cache
 def _trees_of_size(n: int) -> tuple[BinaryTree, ...]:
-    if n == 0:
-        return (EMPTY,)
-    out = []
-    for left_size in range(n):
-        for left in _trees_of_size(left_size):
-            for right in _trees_of_size(n - 1 - left_size):
-                out.append(BinaryTree(left, right))
-    out.sort(key=canonical_key)
-    return tuple(out)
+    return _dyck_fold(n, EMPTY, BinaryTree)
 
 
 def enumerate_trees(n: int) -> list[BinaryTree]:
-    """All binary trees with n nodes, in canonical order."""
-    if n < 0:
-        raise ValueError("size must be non-negative")
+    """All binary trees of n nodes, ordered by :func:`canonical_key`."""
     return list(_trees_of_size(n))
 
 

@@ -236,6 +236,16 @@ MUTANTS = {
         "w[x] += v[end + 1]",
         ("tests/test_trees.py::test_bracket_vector_covers_are_the_rotations",
          )),
+    "ballot slack one short": Mutant(
+        "trees.py",
+        "range(m * norths - easts)",
+        "range(m * norths - easts - 1)",
+        ("tests/test_mtamari.py::test_enumerate_ballot_paths",)),
+    "tree step combines its two values swapped": Mutant(
+        "trees.py",
+        "return combine(left, right), below",
+        "return combine(right, left), below",
+        ("tests/test_trees.py::test_enumerate_trees_catalan",)),
     "vector tree closes one waiting node per label": Mutant(
         "trees.py",
         "while waiting and waiting[-1][1] == label:",
@@ -270,11 +280,6 @@ MUTANTS = {
         "[0] * (len(code) - code.count(0))",
         "[0] * (len(code) - code.count(0) - 1)",
         ("tests/test_packed.py::test_top_path_polynomials[2]",)),
-    "ballot slack one short": Mutant(
-        "mtamari.py",
-        "slack = (m + 1) * norths - len(word)",
-        "slack = (m + 1) * norths - len(word) - 1",
-        ("tests/test_mtamari.py::test_enumerate_ballot_paths",)),
     "axiom check carries no failure from the next row": Mutant(
         "intervalposet.py",
         "(bad[a + 1] | ~succ[a + 1])",
@@ -325,8 +330,8 @@ MUTANTS = {
          "test_a_poset_is_a_value_of_its_rows_alone",)),
     "upper end vector one label long": Mutant(
         "intervalposet.py",
-        "(above & -above).bit_length() - 1 if above",
-        "(above & -above).bit_length() if above",
+        "(above & -above).bit_length() - 1 if (above",
+        "(above & -above).bit_length() if (above",
         ("tests/test_intervalposet.py::test_lower_upper_tree_roundtrip",)),
     "linear extensions take labels in descending order": Mutant(
         "order.py",

@@ -16,10 +16,10 @@ from helpers import (bracket_vector, left_comb, mary_to_path_prefix,
 from tamari.cli import main
 from tamari.compose import compose, decompose
 from tamari.intervalposet import (IntervalPoset, IntervalPosetError,
-                                  _end_vectors, dec_forest, inc_forest,
-                                  interval_literals, intersect, lower_tree,
-                                  make_interval, trees_in_interval,
-                                  upper_tree, validate)
+                                  _lower_vector, _upper_vector, dec_forest,
+                                  inc_forest, interval_literals, intersect,
+                                  lower_tree, make_interval,
+                                  trees_in_interval, upper_tree, validate)
 from tamari.mtamari import (LEAF, BallotPath, MAryTree, mary_tamari_poly,
                             path_to_mary_prefix)
 from tamari.order import CapacityError, bst_relation
@@ -155,8 +155,9 @@ def test_deep_end_vectors():
     tree = random_tree(random.Random(23), DEPTH)
     for lower, upper in ((left, right), (left, left), (right, right),
                          (tree, tree)):
-        assert _end_vectors(make_interval(lower, upper)) == (
-            bracket_vector(lower), bracket_vector(upper))
+        poset = make_interval(lower, upper)
+        assert _lower_vector(poset) == bracket_vector(lower)
+        assert _upper_vector(poset) == bracket_vector(upper)
 
 
 @pytest.mark.parametrize("tree", [

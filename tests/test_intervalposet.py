@@ -10,9 +10,10 @@ from helpers import (bracket_vector, oracle_trees_in_interval,
 from tamari.compose import (compose, decompose, enumerate_interval_posets,
                             initial_interval_sum)
 from tamari.intervalposet import (IntervalPoset, IntervalPosetError,
-                                  _end_vectors, dec_forest, inc_forest,
-                                  interval_contains, interval_literals,
-                                  intersect, is_decreasing_refinement,
+                                  _lower_vector, _upper_vector, dec_forest,
+                                  inc_forest, interval_contains,
+                                  interval_literals, intersect,
+                                  is_decreasing_refinement,
                                   is_increasing_refinement, linear_extensions,
                                   lower_tree, make_interval, stat_monomial,
                                   trees_in_interval, upper_tree, validate)
@@ -396,8 +397,9 @@ def test_end_vectors_are_the_end_trees_vectors():
     pairs = [pair for n in range(8) for pair in tree_leq_pairs(n)]
     assert len(pairs) == 19980
     for t, u in pairs:
-        assert _end_vectors(make_interval(t, u)) == (bracket_vector(t),
-                                                     bracket_vector(u))
+        poset = make_interval(t, u)
+        assert _lower_vector(poset) == bracket_vector(t)
+        assert _upper_vector(poset) == bracket_vector(u)
 
 
 def test_interval_literals_format_the_listed_trees():

@@ -84,10 +84,9 @@ def test_enumeration_lists_afresh_from_one_table():
     assert again == expected and again is not listed
     # the paths themselves are built once, so upset lookups share keys
     assert all(p is q for p, q in zip(again, expected))
-    with pytest.raises(ValueError):
-        enumerate_ballot_paths(0, 2)
-    with pytest.raises(ValueError):
-        enumerate_ballot_paths(1, -1)
+    for m, n in ((0, 2), (1, -1)):
+        with pytest.raises(ValueError, match=r"^need m >= 1 and n >= 0$"):
+            enumerate_ballot_paths(m, n)
 
 
 @pytest.mark.parametrize("m, n", [(1, 0), (2, 0), (1, 5), (2, 4), (3, 4),

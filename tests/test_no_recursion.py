@@ -20,11 +20,6 @@ SOURCE = Path(tamari.__file__).parent
 
 # the cycles that may stay, each with the bound on its depth
 ALLOWED = {
-    ("trees._trees_of_size",):
-        "depth n; it builds all Catalan(n) trees, so no call past n of about "
-        "16 finishes, and a --max-n above the recursion limit makes "
-        "lattice, count --method bruteforce and interval --trees end in "
-        "RecursionError",
     ("compose._bottoms", "compose._posets_of_size", "compose._terms",
      "compose._top_level"):
         "depth n; interval-posets are enumerated only up to size 16, the "

@@ -4,6 +4,7 @@ from helpers import (bracket_vector, left_comb, mirror, right_comb,
                      rotation_cover_edges, tree_leq_pairs)
 from tamari.compose import enumerate_interval_posets
 from tamari.intervalposet import dec_forest, lower_tree, stat_monomial
+from tamari.mtamari import enumerate_ballot_paths
 from tamari.poly import Polynomial
 from tamari.trees import (EMPTY, BinaryTree, _bracket_vectors, canonical_key,
                           enumerate_trees, format_tree, format_trees,
@@ -78,7 +79,7 @@ def test_bracket_vector_covers_are_the_rotations(n):
 
 
 def test_cover_edges_reject_a_negative_size():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^size must be non-negative$"):
         tamari_cover_edges(-1)
 
 
@@ -88,7 +89,7 @@ def test_format_trees_formats_each_enumerated_tree(n):
 
 
 def test_format_trees_rejects_a_negative_size():
-    with pytest.raises(ValueError, match="size must be non-negative"):
+    with pytest.raises(ValueError, match="^size must be non-negative$"):
         format_trees(-1)
 
 
@@ -106,15 +107,21 @@ def test_covers_are_distinct():
 
 def test_enumerate_trees_catalan():
     assert enumerate_trees(0) == [EMPTY]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^size must be non-negative$"):
         enumerate_trees(-1)
     for n, expected in enumerate(CATALAN):
         assert len(enumerate_trees(n)) == expected
-    for n in range(7):
+    for n in range(10):
         trees = enumerate_trees(n)
         assert len(set(trees)) == len(trees)
         assert [canonical_key(t) for t in trees] == sorted(
             canonical_key(t) for t in trees)
+
+
+def test_enumerated_trees_read_the_dyck_paths_in_order():
+    for n in range(10):
+        assert [to_dyck(t) for t in enumerate_trees(n)] == [
+            p.steps for p in enumerate_ballot_paths(1, n)]
 
 
 def test_to_dyck_examples():
